@@ -7,31 +7,34 @@ squared norm of a bridge state is an exact rational theta-network value,
 and the states for one split form an orthogonal basis of the invariant
 subspace.
 
+The normalisation is one closed form. Both chains are isometries, so the
+unscaled state has squared norm 2b+1 at bridge spin b; scaling it by
+sqrt(theta / (2b+1)) makes its squared norm the theta value of its double
+path. calibrate() checks that against exact and numeric oracles.
+
 All closed-form evaluation here is for spin-1/2 strands; enumeration of
 labels works for any strand spin.
 """
 
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from . import su2, tensors
+from . import su2
 from .errors import (
     CalibrationFailure, InadmissibleLabel, InvalidStep, NotInvariant,
 )
 from .tensors import LabeledTensor
 
 __all__ = [
-    "BridgeLabel", "CoefficientVector", "CalibrationTable", "loop_factor",
-    "theta", "theta_single", "bridge_basis", "build_bridge_state",
-    "calibrate", "identity_decomposition", "identity_state", "decompose",
-    "assemble", "step_scalar", "mirror_sign",
+    "BridgeLabel", "CoefficientVector", "loop_factor", "theta",
+    "theta_single", "bridge_basis", "build_bridge_state", "calibrate",
+    "identity_decomposition", "identity_state", "decompose", "assemble",
+    "mirror_sign",
 ]
-
-CALIBRATION_VERSION = "1"
 
 
 def _path_admissible(path, strand):
@@ -135,10 +138,6 @@ class CoefficientVector:
                 out[m.text()] = [z.real, z.imag]
         return out
 
-    @classmethod
-    def from_array(cls, labels, values, residual=None):
-        return cls(dict(zip(labels, values)), residual=residual)
-
 
 def loop_factor(twice_j, direction):
     """Loop-resolution factor for one strand step at spin j.
@@ -202,98 +201,6 @@ def bridge_basis(valence, n1, strand=1):
     return sorted(labels, key=_sort_key)
 
 
-def _double_path_factors(path):
-    """Exact squared-squared step factors along a path."""
-    out = []
-    for prev, nxt in zip(path, path[1:]):
-        if nxt == prev + 1:
-            out.append(((prev, nxt), Fraction(prev + 2, prev + 1)))
-        elif nxt == prev - 1:
-            out.append(((prev, nxt), Fraction(prev + 1, prev)))
-        else:
-            raise ValueError(f"step {prev} -> {nxt} is not a spin-1/2 step")
-    return out
-
-
-@dataclass
-class CalibrationTable:
-    """Vertex scalars making bridge-state norms match theta closed forms.
-
-    Each spin-1/2 step (j -> j') carries the scalar f^(1/4) with
-    f = (2j+2)/(2j+1) for up steps and (2j+1)/(2j) for down steps; each
-    bridge spin b carries the cap scalar sqrt(2/(2b+1)). The product of the
-    step scalars over a label's double path times the cap squares to
-    theta(double path)/(2b+1) exactly, which makes the Gram of the basis
-    equal diag(theta) by construction.
-    """
-
-    steps: dict = field(default_factory=dict)
-    caps: dict = field(default_factory=dict)
-    version: str = CALIBRATION_VERSION
-
-    def step_factor(self, prev, nxt):
-        key = (prev, nxt)
-        if key not in self.steps:
-            raise KeyError(f"step {key} not calibrated")
-        return self.steps[key]
-
-    def scalar(self, prev, nxt):
-        return float(self.step_factor(prev, nxt)) ** 0.25
-
-    def cap(self, bridge):
-        return float(self.caps[bridge]) ** 0.5
-
-    def state_scale(self, label):
-        """The overall scalar for one bridge state."""
-        s = self.cap(label.bridge)
-        for (prev, nxt), _ in _double_path_factors(label.double_path()):
-            s *= self.scalar(prev, nxt)
-        return s
-
-    def to_json_dict(self):
-        return {
-            "version": self.version,
-            "steps": {
-                f"{su2.format_spin(a)}->{su2.format_spin(b)}": str(f)
-                for (a, b), f in sorted(self.steps.items())
-            },
-            "caps": {su2.format_spin(b): str(f) for b, f in sorted(self.caps.items())},
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        steps = {}
-        for key, val in doc["steps"].items():
-            a, _, b = key.partition("->")
-            steps[(su2.parse_spin(a), su2.parse_spin(b))] = Fraction(val)
-        caps = {su2.parse_spin(b): Fraction(v) for b, v in doc["caps"].items()}
-        return cls(steps=steps, caps=caps, version=doc["version"])
-
-
-def _make_table(max_twice=9):
-    """Construct the step/cap table for spins up to max_twice/2."""
-    steps = {}
-    for t in range(0, max_twice):
-        steps[(t, t + 1)] = Fraction(t + 2, t + 1)
-        steps[(t + 1, t)] = Fraction(t + 2, t + 1)
-    caps = {t: Fraction(2, t + 1) for t in range(0, max_twice + 1)}
-    return CalibrationTable(steps=steps, caps=caps)
-
-
-@lru_cache(maxsize=1)
-def default_table():
-    return _make_table()
-
-
-def step_scalar(prev, nxt):
-    """Calibrated scalar for one strand-1/2 coupling step."""
-    return default_table().scalar(prev, nxt)
-
-
 def mirror_sign(label):
     """Relative sign between a label and its side-reflected partner.
 
@@ -314,8 +221,9 @@ def build_bridge_state(label):
 
     Legs 1..n1 are coupled along j_path, legs n..n1+1 along k_path starting
     from leg n; the chains are joined over the bridge spin and every leg on
-    the first side is closed with epsilon. The squared norm equals the theta
-    value of the label's double path.
+    the first side is closed with epsilon. The result is scaled by
+    mirror_sign(label) * sqrt(theta_label(label) / (2b+1)), so its squared
+    norm equals the theta value of the label's double path.
     """
     if label.strand != 1:
         raise InadmissibleLabel("numeric bridge states require strand spin 1/2")
@@ -323,7 +231,7 @@ def build_bridge_state(label):
     n = n1 + n2
     wj = su2.chain_isometry([1] * n1, label.j_path)
     wk = su2.chain_isometry([1] * n2, label.k_path)
-    scale = mirror_sign(label) * default_table().state_scale(label)
+    scale = mirror_sign(label) * math.sqrt(theta_label(label) / (label.bridge + 1))
     m = scale * (wk @ wj.conj().T)
 
     eps = su2.epsilon_matrix(1)
@@ -345,28 +253,25 @@ def _basis_states(valence, n1):
 
 
 def calibrate(max_valence=8, tolerance=1e-10):
-    """Verify the calibration table against exact and numeric oracles.
+    """Check the bridge-state normalisation against exact and numeric oracles.
 
-    Exact check: for every qubit label up to max_valence, the product of the
-    table's step factors over the double path equals (theta_double / 2)^2,
-    the telescoping identity behind the per-step factorization. Numeric
-    check: each basis Gram matrix equals diag(theta_double) within tolerance.
-    Raises CalibrationFailure on any mismatch; returns the table.
+    Exact check: for every qubit label up to max_valence, theta of the double
+    path times 2b+1 equals the product of the two single-path thetas, the
+    identity that makes the closed-form scale consistent across splits.
+    Numeric check: each basis Gram matrix equals diag(theta_double) within
+    tolerance. Raises CalibrationFailure on any mismatch.
     """
-    table = default_table()
     for valence in range(2, max_valence + 1):
         for n1 in range(1, valence):
             labels = bridge_basis(valence, n1, 1)
             if not labels:
                 continue
             for m in labels:
-                prod = Fraction(1)
-                for _, f in _double_path_factors(m.double_path()):
-                    prod *= f
-                td = theta_label(m)
-                if prod != (td / 2) ** 2:
+                lhs = theta_label(m) * (m.bridge + 1)
+                rhs = theta_single(m.j_path) * theta_single(m.k_path)
+                if lhs != rhs:
                     raise CalibrationFailure(
-                        f"step-factor product {prod} != (theta/2)^2 for {m.text()}")
+                        f"theta(double) * (2b+1) = {lhs} != {rhs} for {m.text()}")
             states = [build_bridge_state(m) for m in labels]
             g = np.array([[x.overlap(y) for y in states] for x in states])
             want = np.diag([float(theta_label(m)) for m in labels])
@@ -374,7 +279,6 @@ def calibrate(max_valence=8, tolerance=1e-10):
             if err > tolerance:
                 raise CalibrationFailure(
                     f"Gram mismatch {err:.3e} at valence {valence}, n1 {n1}")
-    return table
 
 
 def identity_state(valence):

@@ -21,7 +21,7 @@ from .errors import (
     OddValence,
     ZeroTensor,
 )
-from .tensors import Bipartition, LabeledTensor
+from .tensors import LabeledTensor
 
 __all__ = [
     "CertReport", "certify_perfect", "layout_check_even", "layout_check_odd",
@@ -67,31 +67,6 @@ class CertReport:
         }
 
 
-def _dimension_bipartitions(t):
-    # alternative gate: compare side dimensions instead of leg counts
-    from itertools import combinations
-
-    n = t.valence
-    dims = [leg + 1 for leg in t.legs]
-    total = 1
-    for d in dims:
-        total *= d
-    out = []
-    for k in range(1, n):
-        for a in combinations(range(1, n + 1), k):
-            da = 1
-            for i in a:
-                da *= dims[i - 1]
-            db = total // da
-            if da > db:
-                continue
-            if da == db and 1 not in a:
-                continue
-            b = tuple(i for i in range(1, n + 1) if i not in a)
-            out.append(Bipartition(a, b))
-    return out
-
-
 def certify_perfect(t, tolerance=1e-10, dimension_count=False):
     """Certify a tensor by checking every admissible bipartition.
 
@@ -106,7 +81,7 @@ def certify_perfect(t, tolerance=1e-10, dimension_count=False):
     invariance = tensors.invariance_defect(t)
     invariant = invariance <= tolerance
     if dimension_count:
-        parts = _dimension_bipartitions(t)
+        parts = tensors.bipartitions(t.valence, dims=[su2.dim(leg) for leg in t.legs])
         mode = "dimension_count"
     else:
         parts = tensors.bipartitions(t.valence)

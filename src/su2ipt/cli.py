@@ -13,8 +13,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, bridge, certify, master, repart, su2, tensors
 from .errors import ParseError, Su2IptError
 
@@ -131,15 +129,16 @@ def _cmd_repart(args):
         )
     else:
         mat = repart.compose(repart.parse_word(valence, word))
+    involution = mat.is_involution()
     result = mat.to_json_dict()
-    result["involution"] = mat.is_involution()
+    result["involution"] = involution
     lines = [f"word {mat.word_text()} on valence {valence}"
              f" ({mat.sign_convention}):"]
     for m, row in zip(mat.labels, mat.matrix):
         lines.append(
             f"  {m.text():28s} " + "  ".join(f"{_fmt(x):>6s}" for x in row)
         )
-    lines.append(f"involution: {mat.is_involution()}")
+    lines.append(f"involution: {involution}")
     return _emit(args, config, result, lines, 0)
 
 

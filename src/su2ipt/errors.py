@@ -43,7 +43,7 @@ class NotInvariant(Su2IptError, ValueError):
 
 
 class CalibrationFailure(Su2IptError, RuntimeError):
-    """Vertex calibration could not reproduce the exact theta norms."""
+    """Bridge states failed the exact or numeric theta-norm check."""
 
 
 class CrossesBridge(Su2IptError, ValueError):

@@ -26,7 +26,7 @@ from .errors import LabelMismatch
 __all__ = [
     "MasterEquation", "MasterSystem", "SolutionFamily", "build_master_system",
     "residual", "max_coeff_check", "solve_qubit_valence4",
-    "solve_qubit_valence6", "max_label",
+    "solve_qubit_valence6", "max_label", "LABELS4", "LABELS6",
 ]
 
 
@@ -165,6 +165,21 @@ def residual(c, sys, lam):
     return math.sqrt(total)
 
 
+# The named labels of the balanced qubit splits at valences 4 and 6, in the
+# order the closed-form repartition matrices are written in.
+LABELS4 = {
+    "low": BridgeLabel((1, 0), (1, 0)),
+    "top": BridgeLabel((1, 2), (1, 2)),
+}
+LABELS6 = {
+    "top": BridgeLabel((1, 2, 3), (1, 2, 3)),
+    "sym1": BridgeLabel((1, 2, 1), (1, 2, 1)),
+    "asym10": BridgeLabel((1, 2, 1), (1, 0, 1)),
+    "asym01": BridgeLabel((1, 0, 1), (1, 2, 1)),
+    "sym0": BridgeLabel((1, 0, 1), (1, 0, 1)),
+}
+
+
 def max_label(valence):
     """The balanced label whose both paths climb monotonically."""
     n1 = valence // 2
@@ -177,10 +192,6 @@ def max_coeff_check(c, lam, tolerance=1e-10):
     top = max_label(2 * max(len(m.j_path) for m in c.entries))
     value = c.entries.get(top, 0)
     return abs(abs(complex(value)) ** 2 - lam) < tolerance
-
-
-def _label(j2_and_rest, k2_and_rest):
-    return BridgeLabel(j2_and_rest, k2_and_rest)
 
 
 @dataclass(frozen=True)
@@ -237,8 +248,7 @@ def solve_qubit_valence4(gauge_fixed=False):
     With gauge_fixed the maximal coefficient is real positive and the one
     free phase is the relative phase dphi.
     """
-    top = _label((1, 2), (1, 2))
-    low = _label((1, 0), (1, 0))
+    top, low = LABELS4["top"], LABELS4["low"]
     if gauge_fixed:
         forms = {
             top: "sqrt(lam)",
@@ -277,22 +287,15 @@ def solve_qubit_valence6(gauge_fixed=False):
     c[(1/2,1,1/2)|(1/2,1,1/2)] = A e^{i rho} left free; the amplitude domain
     is A^2 <= 4 lambda / 9 so the bound moduli stay real.
     """
-    lab = {
-        "top": _label((1, 2, 3), (1, 2, 3)),
-        "sym1": _label((1, 2, 1), (1, 2, 1)),
-        "asym10": _label((1, 2, 1), (1, 0, 1)),
-        "asym01": _label((1, 0, 1), (1, 2, 1)),
-        "sym0": _label((1, 0, 1), (1, 0, 1)),
-    }
     phases = ("phi", "rho", "chi", "psi")
     if gauge_fixed:
         phases = ("rho", "chi", "psi")
     forms = {
-        lab["top"]: "sqrt(lam)" if gauge_fixed else "sqrt(lam) * exp(i phi)",
-        lab["sym1"]: "A * exp(i rho)",
-        lab["asym10"]: "sqrt(lam/3 - 3/4 A^2) * exp(i chi)",
-        lab["sym0"]: "3/4 A * exp(i psi)",
-        lab["asym01"]: "sqrt(lam/3 - 3/4 A^2) * exp(i (rho + psi - chi + pi))",
+        LABELS6["top"]: "sqrt(lam)" if gauge_fixed else "sqrt(lam) * exp(i phi)",
+        LABELS6["sym1"]: "A * exp(i rho)",
+        LABELS6["asym10"]: "sqrt(lam/3 - 3/4 A^2) * exp(i chi)",
+        LABELS6["sym0"]: "3/4 A * exp(i psi)",
+        LABELS6["asym01"]: "sqrt(lam/3 - 3/4 A^2) * exp(i (rho + psi - chi + pi))",
     }
 
     def evaluator(lam, p):
@@ -303,11 +306,11 @@ def solve_qubit_valence6(gauge_fixed=False):
         root = math.sqrt(max(rest, 0.0))
         phi = 0.0 if gauge_fixed else p["phi"]
         return {
-            lab["top"]: math.sqrt(lam) * np.exp(1j * phi),
-            lab["sym1"]: amp * np.exp(1j * p["rho"]),
-            lab["asym10"]: root * np.exp(1j * p["chi"]),
-            lab["sym0"]: 0.75 * amp * np.exp(1j * p["psi"]),
-            lab["asym01"]: root
+            LABELS6["top"]: math.sqrt(lam) * np.exp(1j * phi),
+            LABELS6["sym1"]: amp * np.exp(1j * p["rho"]),
+            LABELS6["asym10"]: root * np.exp(1j * p["chi"]),
+            LABELS6["sym0"]: 0.75 * amp * np.exp(1j * p["psi"]),
+            LABELS6["asym01"]: root
             * np.exp(1j * (p["rho"] + p["psi"] - p["chi"] + math.pi)),
         }
 

@@ -16,7 +16,8 @@ to a unique solution or to nothing.
 
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import bridge, master, tensors
 from .bridge import BridgeLabel, CoefficientVector
 from .errors import CrossesBridge, LabelMismatch, ProjectionResidual
-from .tensors import Bipartition, LabeledTensor
+from .tensors import Bipartition
 
 __all__ = [
     "RepartitionMatrix", "pstar_matrix", "trivial_swap_matrix", "compose",
@@ -36,18 +37,6 @@ __all__ = [
 
 BINOR = "binor_crossing"
 PLAIN = "plain_swap"
-
-
-def _identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def _matmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 @dataclass(frozen=True)
@@ -75,7 +64,8 @@ class RepartitionMatrix:
         return np.array([[float(x) for x in row] for row in self.matrix])
 
     def is_involution(self):
-        return _matmul(self.matrix, self.matrix) == _identity(self.dim)
+        m = np.array(self.matrix, dtype=object)
+        return bool((m @ m == np.eye(self.dim, dtype=int)).all())
 
     def on_basis(self, labels):
         """The same transformation with rows/columns in the given label order."""
@@ -129,28 +119,12 @@ def _from_display(valence, word, display_labels, rows, convention=BINOR):
     return given.on_basis(canonical)
 
 
-def _labels4():
-    low = BridgeLabel((1, 0), (1, 0))
-    top = BridgeLabel((1, 2), (1, 2))
-    return low, top
-
-
-def _labels6():
-    top = BridgeLabel((1, 2, 3), (1, 2, 3))
-    sym1 = BridgeLabel((1, 2, 1), (1, 2, 1))
-    asym10 = BridgeLabel((1, 2, 1), (1, 0, 1))
-    asym01 = BridgeLabel((1, 0, 1), (1, 2, 1))
-    sym0 = BridgeLabel((1, 0, 1), (1, 0, 1))
-    return top, sym1, asym10, asym01, sym0
-
-
 def pstar_matrix(valence):
     """The bridge-crossing swap: exact closed form at valences 4 and 6,
     numeric projection (snapped to exact rationals) elsewhere."""
     if valence == 4:
-        low, top = _labels4()
         return _from_display(
-            4, ("P*",), (low, top),
+            4, ("P*",), tuple(master.LABELS4.values()),
             [[Fraction(1, 2), Fraction(-3, 4)], [Fraction(-1), Fraction(-1, 2)]],
         )
     if valence == 6:
@@ -161,7 +135,7 @@ def pstar_matrix(valence):
             [0, 0, 0, 1, 0],
             [0, 0, 0, 0, -1],
         ]
-        return _from_display(6, ("P*",), _labels6(), rows)
+        return _from_display(6, ("P*",), tuple(master.LABELS6.values()), rows)
     n1 = valence // 2
     perm = _swap_permutation(valence, n1, n1 + 1)
     num = numeric_repart_matrix(valence, perm)
@@ -196,12 +170,12 @@ def compose(word):
         raise ValueError("compose needs a nonempty word")
     first = word[0]
     labels = first.labels
-    mat = first.matrix
+    mat = np.array(first.matrix, dtype=object)
     tokens = list(first.word)
     for r in word[1:]:
         if r.valence != first.valence:
             raise LabelMismatch("matrices in a word must share a valence")
-        mat = _matmul(mat, r.on_basis(labels).matrix)
+        mat = mat @ np.array(r.on_basis(labels).matrix, dtype=object)
         tokens.extend(r.word)
     convention = first.sign_convention
     if any(r.sign_convention != convention for r in word):
@@ -212,32 +186,42 @@ def compose(word):
     )
 
 
+_TOKEN = re.compile(r"P(\d)(\d)|P(\d+),(\d+)")
+
+
+def _token_pair(valence, token):
+    """The two legs a word token swaps.
+
+    "P*" is the bridge pair (n1, n1+1); "Pij" and "Pi,j" name legs i and j,
+    which must be distinct legs of 1..valence.
+    """
+    if token == "P*":
+        n1 = valence // 2
+        return n1, n1 + 1
+    match = _TOKEN.fullmatch(token)
+    if match is None:
+        raise ValueError(f"unknown word token {token!r}")
+    i, j = (int(g) for g in match.groups() if g is not None)
+    if i == j or not (1 <= i <= valence and 1 <= j <= valence):
+        raise ValueError(
+            f"token {token} does not name two distinct legs of 1..{valence}")
+    return i, j
+
+
 def parse_word(valence, text):
     """Parse a word like "P45 P* P45" into matrices, left to right."""
     out = []
+    n1 = valence // 2
     for token in text.split():
-        if token == "P*":
-            out.append(pstar_matrix(valence))
-            continue
-        if not token.startswith("P"):
-            raise ValueError(f"unknown word token {token!r}")
-        body = token[1:]
-        if "," in body:
-            a, _, b = body.partition(",")
-            pair = (int(a), int(b))
-        elif len(body) == 2 and body.isdigit():
-            pair = (int(body[0]), int(body[1]))
-        else:
-            raise ValueError(f"unknown word token {token!r}")
-        n1 = valence // 2
-        if min(pair) <= n1 < max(pair):
-            if pair != (n1, n1 + 1) and pair != (n1 + 1, n1):
+        i, j = sorted(_token_pair(valence, token))
+        if i <= n1 < j:
+            if (i, j) != (n1, n1 + 1):
                 raise CrossesBridge(
                     f"token {token} crosses the split away from the bridge"
                 )
             out.append(pstar_matrix(valence))
         else:
-            out.append(trivial_swap_matrix(valence, pair))
+            out.append(trivial_swap_matrix(valence, (i, j)))
     if not out:
         raise ValueError("empty repartition word")
     return out
@@ -245,19 +229,9 @@ def parse_word(valence, text):
 
 def word_permutation(valence, tokens):
     """Leg permutation realized by a word (rightmost token applied first)."""
-    n1 = valence // 2
     order = tuple(range(1, valence + 1))
     for token in tokens:
-        if token == "P*":
-            pair = (n1, n1 + 1)
-        else:
-            body = token[1:]
-            if "," in body:
-                a, _, b = body.partition(",")
-                pair = (int(a), int(b))
-            else:
-                pair = (int(body[0]), int(body[1]))
-        swap = _swap_permutation(valence, *pair)
+        swap = _swap_permutation(valence, *_token_pair(valence, token))
         order = tuple(order[swap[p] - 1] for p in range(valence))
     return order
 
@@ -502,7 +476,7 @@ def _run_valence6():
     pstar = pstar_matrix(6)
     p45 = trivial_swap_matrix(6, (4, 5))
     composed = compose([p45, pstar, p45])
-    top, sym1, asym10, asym01, sym0 = _labels6()
+    top, sym1, asym10, asym01, sym0 = master.LABELS6.values()
 
     def constrained(lam, phi, psi):
         # fixed point of the bridge crossing: A = 2 sqrt(lam)/3, rho = phi,

@@ -21,9 +21,8 @@ from .errors import InadmissibleTriple, SpinFormatError
 
 __all__ = [
     "parse_spin", "format_spin", "dim", "admissible_triple", "SqrtRational",
-    "cg_exact", "cg_coefficient", "cg_matrix", "epsilon_matrix",
-    "epsilon_tensor", "vertex", "generators", "GeneratorSet",
-    "coupling_paths", "chain_isometry",
+    "cg_exact", "cg_coefficient", "cg_matrix", "epsilon_matrix", "vertex",
+    "generators", "GeneratorSet", "coupling_paths", "chain_isometry",
 ]
 
 
@@ -218,12 +217,6 @@ def epsilon_matrix(twice):
     return out
 
 
-def epsilon_tensor():
-    """The two-leg spin-1/2 singlet tensor with component (0, 1) = +1."""
-    from .tensors import LabeledTensor
-    return LabeledTensor((1, 1), epsilon_matrix(1).astype(complex))
-
-
 class GeneratorSet(NamedTuple):
     jx: np.ndarray
     jy: np.ndarray
@@ -292,22 +285,15 @@ def chain_isometry(leg_spins, path):
 
 
 def vertex(tj, tk, tl):
-    """Invariant 3-leg tensor on spins (j, k, l).
+    """Invariant 3-leg tensor on spins (j, k, l) with unit coupling scale.
 
     Built by coupling legs 1 and 2 to spin l and closing leg 3 with the
-    index-lowering epsilon. For spin-1/2 second legs the result carries the
-    calibrated step scalar used by bridge-state assembly; other strands are
-    returned with unit coupling scale.
+    index-lowering epsilon; the squared norm is 2l+1 for every strand.
     """
     from .tensors import LabeledTensor
     if not admissible_triple(tj, tk, tl):
         raise InadmissibleTriple(
             f"({format_spin(tj)}, {format_spin(tk)}, {format_spin(tl)})")
     core = cg_matrix(tj, tk, tl) @ epsilon_matrix(tl)
-    if tk == 1:
-        from .bridge import step_scalar
-        scale = step_scalar(tj, tl)
-    else:
-        scale = 1.0
-    data = (scale * core).reshape(dim(tj), dim(tk), dim(tl)).astype(complex)
+    data = core.reshape(dim(tj), dim(tk), dim(tl)).astype(complex)
     return LabeledTensor((tj, tk, tl), data)

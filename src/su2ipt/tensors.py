@@ -5,6 +5,7 @@ labels (twice-spin integers). Leg indices in the public API are 1-based.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -19,9 +20,9 @@ from .errors import (
 __all__ = [
     "LabeledTensor", "Bipartition", "SchurSpectrum", "contract",
     "permute_legs", "bipartitions", "gram", "isometry_defect",
-    "reduced_density", "invariance_defect", "schur_spectrum",
-    "invariant_basis", "random_invariant", "to_json_dict", "from_json_dict",
-    "dumps_tensor", "loads_tensor",
+    "invariance_defect", "schur_spectrum", "invariant_basis",
+    "random_invariant", "to_json_dict", "from_json_dict", "dumps_tensor",
+    "loads_tensor",
 ]
 
 
@@ -107,25 +108,30 @@ def permute_legs(t, new_order):
     return LabeledTensor(tuple(t.legs[i] for i in axes), np.transpose(t.data, axes))
 
 
-def bipartitions(n, balance="all_half_or_less"):
-    """Canonical A-side enumerations: |A| <= floor(n/2), or exactly balanced.
+def bipartitions(n, balance="all_half_or_less", dims=None):
+    """Canonical A-side enumerations with the A side no larger than the B side.
 
-    A-sets are lexicographic; when |A| = |B| only the representative with
-    leg 1 on the A side is kept.
+    Size is the leg count by default; given the leg dimensions `dims`, it is
+    the side dimension instead. "balanced_only" keeps A-sets of exactly
+    floor(n/2) legs. A-sets are lexicographic by size; when both sides are
+    the same size only the representative with leg 1 on the A side is kept.
     """
     if n < 2:
         raise ValueError("need at least two legs")
-    half = n // 2
-    sizes = [half] if balance == "balanced_only" else list(range(1, half + 1))
     if balance not in ("all_half_or_less", "balanced_only"):
         raise ValueError(f"unknown balance mode {balance!r}")
+
+    def size(side):
+        return len(side) if dims is None else math.prod(dims[i - 1] for i in side)
+
+    sizes = [n // 2] if balance == "balanced_only" else range(1, n)
     out = []
     legs = range(1, n + 1)
     for k in sizes:
         for a in combinations(legs, k):
-            if 2 * k == n and 1 not in a:
-                continue
             b = tuple(i for i in legs if i not in a)
+            if size(a) > size(b) or (size(a) == size(b) and 1 not in a):
+                continue
             out.append(Bipartition(a, b))
     return out
 
@@ -165,16 +171,6 @@ def isometry_defect(t, p):
     lam = float(np.trace(g).real) / dim_a
     defect = float(np.linalg.norm(g - lam * np.eye(dim_a)) / np.linalg.norm(g))
     return lam, defect
-
-
-def reduced_density(t, a_legs):
-    """Reduced density matrix of the legs in a_legs, normalized to trace one."""
-    n2 = t.norm_squared()
-    if n2 == 0.0:
-        raise ZeroTensor("reduced density of the zero tensor")
-    rest = tuple(i for i in range(1, t.valence + 1) if i not in a_legs)
-    m = _side_matrix(t, tuple(a_legs), rest)
-    return (m @ m.conj().T) / n2
 
 
 def invariance_defect(t):

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from su2ipt import bridge, certify, cli, master, repart, su2, tensors
 
@@ -209,6 +210,7 @@ def test_criterion_06_nogo_replays(capsys):
     _report(6, f"contradictions replayed in {dt4:.2f}s / {dt6:.2f}s / {dt2:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_certifier_controls():
     # (a) positive controls certify perfect below 1e-10
     eps = tensors.LabeledTensor(

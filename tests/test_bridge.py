@@ -118,13 +118,16 @@ def test_bridge_state_gram_is_diagonal():
             assert abs(got - want) < 1e-12
 
 
-def test_calibrate_passes_and_serializes():
-    table = bridge.calibrate(6)
-    text = table.to_json()
-    back = bridge.CalibrationTable.from_json(text)
-    assert back.steps == table.steps
-    assert back.caps == table.caps
-    assert back.version == table.version
+def test_calibrate_passes_and_scale_is_closed_form():
+    assert bridge.calibrate(6) is None
+    for valence in range(2, 9):
+        for n1 in range(1, valence):
+            for m in bridge.bridge_basis(valence, n1):
+                assert bridge.theta_label(m) * (m.bridge + 1) == (
+                    bridge.theta_single(m.j_path) * bridge.theta_single(m.k_path))
+                t = bridge.build_bridge_state(m)
+                assert t.norm_squared() == pytest.approx(
+                    float(bridge.theta_label(m)), abs=1e-12)
 
 
 def test_identity_state_is_nested_pairing():

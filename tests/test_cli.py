@@ -150,6 +150,16 @@ def test_repart_rejects_swap_crossing_the_split(capsys):
     assert "crosses the split" in err
 
 
+def test_repart_swap_convention_rejects_bad_token(capsys):
+    code, _, err = run(
+        capsys,
+        ["repart", "--valence", "6", "--word", "P1", "--convention", "swap"],
+    )
+    assert code == 2
+    assert "error: unknown word token 'P1'" in err
+    assert "Traceback" not in err
+
+
 def test_nogo_valence2_is_feasible(capsys):
     code, out, _ = run(capsys, ["nogo", "--valence", "2"])
     assert code == 0

@@ -126,12 +126,19 @@ def test_parse_word_maps_bridge_pair_to_pstar():
         repart.parse_word(4, "Q12")
     with pytest.raises(ValueError):
         repart.parse_word(4, "")
+    for token in ("P1", "P79", "Q12", "P11"):
+        with pytest.raises(ValueError):
+            repart.parse_word(6, token)
 
 
 def test_word_permutation():
     assert repart.word_permutation(6, ["P45", "P*", "P45"]) == (1, 2, 5, 4, 3, 6)
     assert repart.word_permutation(4, ["P34", "P*", "P34"]) == (1, 4, 3, 2)
     assert repart.word_permutation(4, ["P*"]) == (1, 3, 2, 4)
+    assert repart.word_permutation(10, ["P1,10"]) == (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)
+    for token in ("P1", "P79", "Q12", "P11"):
+        with pytest.raises(ValueError):
+            repart.word_permutation(6, [token])
 
 
 def test_numeric_matches_closed_form_with_global_sign():
