@@ -226,11 +226,20 @@ class SearchResult(NamedTuple):
 
 
 class _DefectObjective:
-    """Summed bipartition defect as a fast quadratic-form evaluation.
+    """Summed bipartition defect evaluated on Schur blocks.
 
-    For an invariant-basis expansion t(z) = sum_k z_k e_k, each bipartition
-    Gram matrix is G_p(z) = sum_{kl} conj(z_k) z_l Q_pkl with precomputed
-    Q_pkl, so one objective call is a single tensor contraction.
+    For an invariant-basis expansion t(z) = sum_k z_k e_k, Schur's lemma
+    makes each bipartition Gram G_p(z) equal, in the A-side coupled basis,
+    to the direct sum over total spins J of X_J(z) (x) 1_{2J+1}, where
+    X_J = top_J^T G_p top_J and top_J holds the M = J vector of every
+    A-side coupling path closing at J. Each X_J(z) = sum_{kl} conj(z_k) z_l
+    Q_pJkl is quadratic in z, so one call is a single matrix-vector product
+    onto all block entries followed by per-bipartition sums weighted by
+    d_J = 2J+1:
+
+        defect_p = sqrt(sum_J d_J ||X_J - lambda 1||_F^2)
+                   / sqrt(sum_J d_J ||X_J||_F^2),
+        lambda = sum_J d_J tr X_J / d_A.
     """
 
     def __init__(self, legs):
@@ -244,36 +253,37 @@ class _DefectObjective:
         self.k = len(basis)
         parts = tensors.bipartitions(len(legs))
         self.parts = parts
-        amax = max(
-            int(np.prod([legs[i - 1] + 1 for i in p.a])) for p in parts
-        )
-        q = np.zeros((self.k, self.k, len(parts), amax, amax), dtype=complex)
-        eye = np.zeros((len(parts), amax, amax))
-        dims = np.zeros(len(parts))
+        # one column per block entry (p, J, a, b); per entry: d_J, the
+        # bipartition index p, and whether a == b
+        blocks, weights, part_of, diag, dims = [], [], [], [], []
         for pi, p in enumerate(parts):
-            sides = [tensors._side_matrix(e, p.a, p.b) for e in basis]
-            da = sides[0].shape[0]
-            dims[pi] = da
-            eye[pi, :da, :da] = np.eye(da)
-            for a in range(self.k):
-                for b in range(self.k):
-                    q[a, b, pi, :da, :da] = np.conj(sides[a]) @ sides[b].T
-        self.shape = (len(parts), amax, amax)
-        self.qmat = np.ascontiguousarray(
-            q.reshape(self.k * self.k, len(parts) * amax * amax)
-        )
-        self.eye = eye
-        self.dims = dims
+            sides = np.stack([tensors._side_matrix(e, p.a, p.b) for e in basis])
+            dims.append(sides.shape[1])
+            tops = tensors._top_columns(tuple(self.legs[i - 1] for i in p.a))
+            for tj, top in tops.items():
+                mult = top.shape[1]
+                r = np.einsum("am,kab->kmb", top, sides)
+                q = np.einsum("kac,lbc->klab", r.conj(), r)
+                blocks.append(q.reshape(self.k * self.k, mult * mult))
+                weights.append(np.full(mult * mult, float(su2.dim(tj))))
+                part_of.append(np.full(mult * mult, pi))
+                diag.append(np.eye(mult).ravel())
+        self.qmat = np.ascontiguousarray(np.concatenate(blocks, axis=1))
+        self.weights = np.concatenate(weights)
+        self.part_of = np.concatenate(part_of)
+        self.diag = np.concatenate(diag)
+        # lambda_p = sum of d_J X_aa / d_A over the diagonal entries of p
+        self.lam_weights = self.weights * self.diag / np.array(dims)[self.part_of]
 
     def defects(self, z):
         w = np.outer(np.conj(z), z).ravel()
-        g = (w @ self.qmat).reshape(self.shape)
-        tr = np.einsum("paa->p", g).real
-        lam = tr / self.dims
-        dev = g - lam[:, None, None] * self.eye
-        num = np.sqrt(np.einsum("pab,pab->p", dev.conj(), dev).real)
-        den = np.sqrt(np.einsum("pab,pab->p", g.conj(), g).real)
-        return num / np.maximum(den, 1e-300)
+        x = w @ self.qmat
+        n = len(self.parts)
+        lam = np.bincount(self.part_of, self.lam_weights * x.real, n)
+        dev = x - lam[self.part_of] * self.diag
+        num = np.bincount(self.part_of, self.weights * (dev.real**2 + dev.imag**2), n)
+        den = np.bincount(self.part_of, self.weights * (x.real**2 + x.imag**2), n)
+        return np.sqrt(num) / np.maximum(np.sqrt(den), 1e-300)
 
     def __call__(self, v):
         z = v[: self.k] + 1j * v[self.k :]
@@ -294,6 +304,8 @@ def search_min_defect(legs, restarts=100, seed=0):
     """
     from scipy import optimize
 
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
     obj = _DefectObjective(legs)
     rng = np.random.default_rng(seed)
     dim = 2 * obj.k

@@ -7,7 +7,9 @@ labels (twice-spin integers). Leg indices in the public API are 1-based.
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -137,9 +139,20 @@ def bipartitions(n, balance="all_half_or_less", dims=None):
 
 
 def _validate_bipartition(t, p):
+    """Require p to partition t's legs with A no larger than B.
+
+    A counts as larger only when it exceeds B both by leg count and by
+    dimension, so every split admitted by either gate of bipartitions passes.
+    """
     union = sorted(p.a + p.b)
     if union != list(range(1, t.valence + 1)):
         raise BadBipartition(f"sides {p.a} | {p.b} do not partition 1..{t.valence}")
+
+    if len(p.a) > len(p.b):
+        dim_a, dim_b = (math.prod(su2.dim(t.legs[i - 1]) for i in side)
+                        for side in (p.a, p.b))
+        if dim_a > dim_b:
+            raise BadBipartition(f"|A| = {len(p.a)} exceeds |B| = {len(p.b)}")
 
 
 def _side_matrix(t, row_legs, col_legs):
@@ -152,8 +165,6 @@ def _side_matrix(t, row_legs, col_legs):
 def gram(t, p):
     """Gram matrix G of t read as a map from the A side to the B side."""
     _validate_bipartition(t, p)
-    if len(p.a) > len(p.b):
-        raise BadBipartition(f"|A| = {len(p.a)} exceeds |B| = {len(p.b)}")
     m = _side_matrix(t, p.a, p.b)
     return m.conj() @ m.T
 
@@ -205,6 +216,25 @@ def _coupled_blocks(leg_spins):
     return {tj: np.stack(ws, axis=1) for tj, ws in sorted(blocks.items())}
 
 
+@lru_cache(maxsize=None)
+def _top_columns(leg_spins):
+    """Highest-weight coupled vectors grouped by total spin.
+
+    Returns a read-only {twice_J: read-only array of shape (prod dims, mult)}:
+    column i is the M = J vector of the i-th coupling path closing at J, in
+    path order.
+    """
+    cols = {}
+    for path in su2.coupling_paths(leg_spins):
+        cols.setdefault(path[-1], []).append(su2.chain_isometry(leg_spins, path)[:, 0])
+    out = {}
+    for tj, vs in sorted(cols.items()):
+        top = np.stack(vs, axis=1)
+        top.setflags(write=False)
+        out[tj] = top
+    return MappingProxyType(out)
+
+
 def schur_spectrum(t, p, tolerance=1e-10):
     """Block moduli |mu_J| of an invariant tensor read as an A-to-B map.
 
@@ -213,8 +243,6 @@ def schur_spectrum(t, p, tolerance=1e-10):
     its A-side multiplicity.
     """
     _validate_bipartition(t, p)
-    if len(p.a) > len(p.b):
-        raise BadBipartition(f"|A| = {len(p.a)} exceeds |B| = {len(p.b)}")
     if invariance_defect(t) > tolerance:
         raise NotInvariant("schur spectrum requires an invariant tensor")
     a_spins = [t.legs[i - 1] for i in p.a]

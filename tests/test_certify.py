@@ -69,6 +69,15 @@ def test_certify_dimension_count_mode():
     assert (3,) in sides
 
 
+def test_certify_dimension_count_admits_wider_leg_side():
+    # A = {1,2,3} has more legs than B = {4,5} but the smaller dimension (8 vs 10)
+    t = tensors.random_invariant((1, 1, 1, 1, 4), np.random.default_rng(5))
+    report = certify.certify_perfect(t, dimension_count=True)
+    sides = [p.a for p, _, _, _ in report.per_bipartition]
+    assert (1, 2, 3) in sides
+    assert report.verdict == "not_perfect"
+
+
 def test_certify_report_json():
     t = tensors.LabeledTensor((1, 1), su2.epsilon_matrix(1))
     doc = certify.certify_perfect(t).to_json_dict()
@@ -140,6 +149,31 @@ def test_search_reproducible_and_monotone():
     assert a.best_defect == b.best_defect
     more = certify.search_min_defect([1, 1, 1, 1], restarts=25, seed=7)
     assert more.best_defect <= a.best_defect + 1e-15
+
+
+@pytest.mark.parametrize("legs", [
+    (1,) * 4, (1,) * 6, (1,) * 8, (1, 1, 2), (1, 1, 2, 2), (2,) * 4,
+])
+def test_objective_matches_dense_isometry_defect(legs):
+    obj = certify._DefectObjective(legs)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        z = rng.normal(size=obj.k) + 1j * rng.normal(size=obj.k)
+        z /= np.linalg.norm(z)
+        t = tensors.LabeledTensor(legs, sum(c * e.data for c, e in zip(z, obj.basis)))
+        dense = [tensors.isometry_defect(t, p)[1] for p in obj.parts]
+        np.testing.assert_allclose(obj.defects(z), dense, rtol=0, atol=1e-12)
+
+
+def test_objective_vanishes_at_perfect_point():
+    # the three-leg invariant space is one-dimensional and its state is perfect
+    obj = certify._DefectObjective((1, 1, 2))
+    assert obj(np.array([1.0, 0.0])) < 1e-14
+
+
+def test_objective_operand_is_schur_blocks():
+    # 196 = 14^2 basis pairs; 834 = sum over bipartitions and total spins of mult_J^2
+    assert certify._DefectObjective((1,) * 8).qmat.shape == (196, 834)
 
 
 def test_search_empty_space():

@@ -242,6 +242,18 @@ def test_search_qubit_valence4_reports_floor(capsys):
     assert text[-1] == "no perfect point found"
 
 
+def test_search_without_restarts_is_usage_error(capsys):
+    for argv in (
+        ["search", "--path", "1/2,1/2,1/2,1/2", "--restarts", "0"],
+        ["search", "--path", "1/2,1/2,1/2,1/2", "--restarts", "-3"],
+        ["nogo", "--valence", "8", "--restarts", "0"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "error: need at least one restart" in err
+        assert "Traceback" not in err
+
+
 def test_layout_overweight_odd_leg_fails(capsys):
     code, out, _ = run(capsys, ["layout", "--path", "1/2,1/2,1/2,1/2,2"])
     assert code == 1
