@@ -30,19 +30,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertReport:
-    """Certification outcome: per-bipartition data plus one verdict."""
+    """Certification outcome: per-bipartition data plus one verdict.
 
-    per_bipartition: tuple  # of (Bipartition, lambda_est, defect, spectrum)
+    Stored compactly, every number computed by certify_perfect: `parts` is
+    the shared tuple from tensors.bipartitions; `values` is one float64
+    array of (lambda_est, defect) for each row in turn; `moduli` is None
+    when the verdict is "not_invariant" and otherwise holds every row's
+    block moduli, rounded to 9 decimals, J blocks ascending (A-side
+    multiplicity each), each block in descending order. A rounded modulus is
+    k / 1e9 for an integer k, so `moduli` stores k as uint32 when every
+    k / 1e9 reproduces its modulus exactly and k < 2**32 (moduli below
+    4.29, as for any unit tensor), and the float64 moduli otherwise.
+    `per_bipartition` re-packs them into (Bipartition, lambda_est, defect,
+    SchurSpectrum or None) rows.
+    """
+
+    legs: tuple
+    parts: tuple
+    values: np.ndarray
+    moduli: object
     invariance: float
     verdict: str  # "perfect", "not_perfect", or "not_invariant"
     tolerance: float
     norm_squared: float
     mode: str = "leg_count"
 
+    @property
+    def per_bipartition(self):
+        values = self.values.tolist()
+        moduli = self.moduli
+        if moduli is not None:
+            moduli = (moduli / 1e9 if moduli.dtype == np.uint32 else moduli).tolist()
+        pos = 0
+        rows = []
+        for i, p in enumerate(self.parts):
+            spec = None
+            if moduli is not None:
+                blocks = {}
+                tops = tensors._top_columns(tuple(self.legs[k - 1] for k in p.a))
+                for tj, top in tops.items():
+                    blocks[tj] = moduli[pos:pos + top.shape[1]]
+                    pos += top.shape[1]
+                spec = tensors.SchurSpectrum(tensors._spectrum_entries(blocks))
+            rows.append((p, values[2 * i], values[2 * i + 1], spec))
+        return tuple(rows)
+
     def worst_defect(self):
-        return max((d for _, _, d, _ in self.per_bipartition), default=0.0)
+        return max(self.values[1::2].tolist(), default=0.0)
 
     def to_json_dict(self):
         rows = []
@@ -75,32 +111,56 @@ def certify_perfect(t, tolerance=1e-10, dimension_count=False):
     dimension does not exceed the second's. Verdict is "not_invariant" when
     the tensor leaves the invariant subspace, otherwise "perfect" exactly
     when all defects stay below tolerance.
+
+    For an invariant tensor every row comes from the Schur block moduli
+    sigma_J (tensors._block_moduli): the Gram's eigenvalues are sigma_J^2,
+    each repeated d_J = 2J+1 times, so
+
+        lambda = sum_J d_J sum_i sigma_Ji^2 / d_A,
+        defect = sqrt(sum_J d_J sum_i (sigma_Ji^2 - lambda)^2)
+                 / sqrt(sum_J d_J sum_i sigma_Ji^4).
+
+    A non-invariant tensor gets the dense tensors.isometry_defect per row
+    and no spectrum.
     """
     if t.norm_squared() == 0.0:
         raise ZeroTensor("cannot certify the zero tensor")
     invariance = tensors.invariance_defect(t)
     invariant = invariance <= tolerance
     if dimension_count:
-        parts = tensors.bipartitions(t.valence, dims=[su2.dim(leg) for leg in t.legs])
+        parts = tensors.bipartitions(t.valence, dims=tuple(su2.dim(leg) for leg in t.legs))
         mode = "dimension_count"
     else:
         parts = tensors.bipartitions(t.valence)
         mode = "leg_count"
-    rows = []
-    worst = 0.0
+    pairs = []  # lambda_est, defect for each row in turn
+    moduli = []
     for p in parts:
-        lam, defect = tensors.isometry_defect(t, p)
-        spec = tensors.schur_spectrum(t, p) if invariant else None
-        rows.append((p, lam, defect, spec))
-        worst = max(worst, defect)
+        if not invariant:
+            pairs.extend(tensors.isometry_defect(t, p))
+            continue
+        blocks = tensors._block_moduli(t, p)
+        sq = np.concatenate(list(blocks.values())) ** 2
+        weights = np.repeat([su2.dim(tj) for tj in blocks],
+                            [len(sigma) for sigma in blocks.values()])
+        lam = weights @ sq / weights.sum()
+        dev = sq - lam
+        pairs += [lam, math.sqrt(weights @ (dev * dev)) / math.sqrt(weights @ (sq * sq))]
+        for sigma in blocks.values():
+            moduli.extend(tensors._rounded_moduli(sigma))
     if not invariant:
         verdict = "not_invariant"
-    elif worst < tolerance:
-        verdict = "perfect"
+        moduli = None
     else:
-        verdict = "not_perfect"
+        verdict = "perfect" if max(pairs[1::2]) < tolerance else "not_perfect"
+        moduli = np.array(moduli)
+        # half the bytes for the common case; callers may keep many reports
+        codes = np.rint(moduli * 1e9)
+        if codes.max() < 2**32 and np.array_equal(codes / 1e9, moduli):
+            moduli = codes.astype(np.uint32)
     return CertReport(
-        tuple(rows), invariance, verdict, tolerance, t.norm_squared(), mode
+        t.legs, parts, np.array(pairs, dtype=float), moduli,
+        invariance, verdict, tolerance, t.norm_squared(), mode,
     )
 
 

@@ -9,6 +9,7 @@ of the same argv.
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -32,6 +33,29 @@ def parse_spin_list(text):
                 f"bad spin {token.strip()!r} at position {pos}: {e}"
             ) from None
     return tuple(out)
+
+
+def _valence(text):
+    """argparse type for --valence: an integer of at least 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"valence must be an integer, got {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"valence must be at least 2, got {value}")
+    return value
+
+
+def _tolerance(text):
+    """argparse type for --tolerance: a finite number greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _fmt(x):
@@ -254,7 +278,7 @@ def _build_parser():
     def add(name, fn, **flags):
         sp = sub.add_parser(name)
         if flags.get("valence"):
-            sp.add_argument("--valence", type=int, required=True)
+            sp.add_argument("--valence", type=_valence, required=True)
         if flags.get("split"):
             sp.add_argument("--split", type=int, default=None)
         if flags.get("path"):
@@ -270,7 +294,7 @@ def _build_parser():
         if flags.get("seed"):
             sp.add_argument("--seed", type=int, default=0)
         if flags.get("tolerance"):
-            sp.add_argument("--tolerance", type=float, default=1e-10)
+            sp.add_argument("--tolerance", type=_tolerance, default=1e-10)
         if flags.get("convention"):
             sp.add_argument(
                 "--convention", choices=("binor", "swap"), default="binor"

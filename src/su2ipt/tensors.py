@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -40,6 +40,11 @@ class LabeledTensor:
         shape = tuple(su2.dim(t) for t in legs)
         data = np.asarray(self.data, dtype=complex)
         if data.shape != shape:
+            # a flat vector of the right size is read with leg 1 slowest;
+            # any other shape is an error, never a silent reshape
+            if data.ndim != 1 or data.size != math.prod(shape):
+                raise ValueError(f"data of shape {data.shape} does not fit"
+                                 f" legs of shape {shape}")
             data = data.reshape(shape)
         if not np.all(np.isfinite(data)):
             raise ValueError("tensor entries must be finite")
@@ -76,7 +81,11 @@ class Bipartition(NamedTuple):
 
 
 class SchurSpectrum(NamedTuple):
-    """Per-total-spin block moduli: entries of (twice_J, modulus, multiplicity)."""
+    """Per-total-spin block moduli: entries of (twice_J, modulus, multiplicity).
+
+    Moduli are rounded to 9 decimals; within each J (ascending) they are
+    listed in descending order, equal rounded values merged into one entry.
+    """
 
     entries: tuple
 
@@ -110,13 +119,15 @@ def permute_legs(t, new_order):
     return LabeledTensor(tuple(t.legs[i] for i in axes), np.transpose(t.data, axes))
 
 
+@lru_cache(maxsize=None)
 def bipartitions(n, balance="all_half_or_less", dims=None):
     """Canonical A-side enumerations with the A side no larger than the B side.
 
-    Size is the leg count by default; given the leg dimensions `dims`, it is
-    the side dimension instead. "balanced_only" keeps A-sets of exactly
-    floor(n/2) legs. A-sets are lexicographic by size; when both sides are
-    the same size only the representative with leg 1 on the A side is kept.
+    Size is the leg count by default; given the leg dimensions `dims` (a
+    tuple), it is the side dimension instead. "balanced_only" keeps A-sets of
+    exactly floor(n/2) legs. A-sets are lexicographic by size; when both
+    sides are the same size only the representative with leg 1 on the A side
+    is kept. The result is a cached tuple shared by every caller.
     """
     if n < 2:
         raise ValueError("need at least two legs")
@@ -135,7 +146,7 @@ def bipartitions(n, balance="all_half_or_less", dims=None):
             if size(a) > size(b) or (size(a) == size(b) and 1 not in a):
                 continue
             out.append(Bipartition(a, b))
-    return out
+    return tuple(out)
 
 
 def _validate_bipartition(t, p):
@@ -203,19 +214,6 @@ def invariance_defect(t):
     return worst
 
 
-def _coupled_blocks(leg_spins):
-    """Coupled-basis isometries grouped by total spin.
-
-    Returns {twice_J: array of shape (prod dims, mult, dim(J))} with columns
-    orthonormal across the whole space.
-    """
-    blocks = {}
-    for path in su2.coupling_paths(leg_spins):
-        w = su2.chain_isometry(leg_spins, path)
-        blocks.setdefault(path[-1], []).append(w)
-    return {tj: np.stack(ws, axis=1) for tj, ws in sorted(blocks.items())}
-
-
 @lru_cache(maxsize=None)
 def _top_columns(leg_spins):
     """Highest-weight coupled vectors grouped by total spin.
@@ -235,45 +233,49 @@ def _top_columns(leg_spins):
     return MappingProxyType(out)
 
 
+def _block_moduli(t, p):
+    """{twice_J: sigma_J} for an invariant t read as an A-to-B map.
+
+    sigma_J holds the singular values of the B-by-A matrix of t applied to
+    top_J (the M = J vector of every A-side coupling path), zero-padded to
+    the A-side multiplicity of J. By Schur's lemma the Gram of p is
+    (+)_J (mu_J^dag mu_J) (x) 1_{2J+1} in the A-side coupled basis, and
+    sigma_J are the singular values |mu_J|, so neither the B-side basis nor
+    the other M columns are needed. t is assumed invariant and p valid.
+    """
+    n = _side_matrix(t, p.b, p.a)
+    out = {}
+    for tj, top in _top_columns(tuple(t.legs[i - 1] for i in p.a)).items():
+        sigma = np.linalg.svd(n @ top, compute_uv=False)
+        out[tj] = np.concatenate([sigma, np.zeros(top.shape[1] - len(sigma))])
+    return out
+
+
+def _rounded_moduli(sigma):
+    """Moduli rounded to 9 decimals, in descending order (Python floats)."""
+    return sorted((round(v, 9) for v in sigma.tolist()), reverse=True)
+
+
+def _spectrum_entries(blocks):
+    """SchurSpectrum entries from {twice_J: rounded moduli, descending}."""
+    return tuple((tj, key, sum(1 for _ in run))
+                 for tj, vals in blocks.items() for key, run in groupby(vals))
+
+
 def schur_spectrum(t, p, tolerance=1e-10):
     """Block moduli |mu_J| of an invariant tensor read as an A-to-B map.
 
     Each total spin J in the A-side decomposition contributes entries
     (J, modulus, multiplicity); zero singular values pad each J block up to
-    its A-side multiplicity.
+    its A-side multiplicity. The moduli come from _block_moduli, so one call
+    costs one invariance check plus one small SVD per J.
     """
     _validate_bipartition(t, p)
     if invariance_defect(t) > tolerance:
         raise NotInvariant("schur spectrum requires an invariant tensor")
-    a_spins = [t.legs[i - 1] for i in p.a]
-    b_spins = [t.legs[i - 1] for i in p.b]
-    blocks_a = _coupled_blocks(a_spins)
-    blocks_b = _coupled_blocks(b_spins)
-    n = _side_matrix(t, p.b, p.a)
-    entries = []
-    for tj, ua in blocks_a.items():
-        mult_a = ua.shape[1]
-        dj = su2.dim(tj)
-        if tj in blocks_b:
-            ub = blocks_b[tj]
-            mult_b = ub.shape[1]
-            pa = ua.reshape(ua.shape[0], mult_a * dj)
-            pb = ub.reshape(ub.shape[0], mult_b * dj)
-            s = pb.conj().T @ n @ pa
-            # the state-as-map intertwines the conjugate A rep with the B rep,
-            # so each block factors as mu (x) epsilon_J; the full singular
-            # values repeat each |mu| exactly dim(J) times
-            sigma = np.linalg.svd(s, compute_uv=False)[::dj]
-        else:
-            sigma = np.zeros(0)
-        moduli = np.concatenate([sigma, np.zeros(mult_a - len(sigma))])
-        grouped = {}
-        for val in moduli:
-            key = round(float(val), 9)
-            grouped[key] = grouped.get(key, 0) + 1
-        for key in sorted(grouped, reverse=True):
-            entries.append((tj, key, grouped[key]))
-    return SchurSpectrum(tuple(entries))
+    blocks = _block_moduli(t, p)
+    return SchurSpectrum(_spectrum_entries(
+        {tj: _rounded_moduli(sigma) for tj, sigma in blocks.items()}))
 
 
 def invariant_basis(leg_spins):
@@ -313,13 +315,27 @@ def to_json_dict(t):
 
 
 def from_json_dict(doc):
-    """Inverse of to_json_dict; round-trips bit-exactly."""
+    """Inverse of to_json_dict; round-trips bit-exactly.
+
+    Raises ValueError when "legs" or "data" is missing or malformed.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("tensor JSON must be an object with \"legs\" and \"data\"")
+    for key in ("legs", "data"):
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"tensor JSON needs a \"{key}\" list")
+    if not all(isinstance(s, str) for s in doc["legs"]):
+        raise ValueError("tensor JSON \"legs\" must be spin strings like \"1/2\"")
     legs = tuple(su2.parse_spin(s) for s in doc["legs"])
-    size = int(np.prod([su2.dim(t) for t in legs], initial=1))
+    size = math.prod(su2.dim(t) for t in legs)
     raw = doc["data"]
     if len(raw) != size:
         raise ValueError(f"expected {size} entries, got {len(raw)}")
-    flat = np.array([complex(re, im) for re, im in raw])
+    try:
+        flat = np.array([complex(re, im) for re, im in raw], dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError("tensor JSON \"data\" entries must be [re, im]"
+                         " number pairs") from None
     return LabeledTensor(legs, flat)
 
 

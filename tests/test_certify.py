@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -84,6 +87,106 @@ def test_certify_report_json():
     assert doc["verdict"] == "perfect"
     assert doc["norm_squared"] == pytest.approx(2.0)
     assert isinstance(doc["bipartitions"], list)
+
+
+# (legs, dimension_count) for the block-kernel checks
+KERNEL_CASES = [
+    ((1,) * 4, False), ((1,) * 6, False), ((1,) * 8, False), ((1, 1, 2), False),
+    ((1, 1, 2, 2), False), ((2,) * 4, False), ((2,) * 5, False),
+    ((1, 1, 1, 1, 4), True),
+]
+
+
+@pytest.mark.parametrize("legs,dimension_count", KERNEL_CASES)
+def test_certify_rows_match_dense_reference(legs, dimension_count):
+    t = tensors.random_invariant(legs, np.random.default_rng(41))
+    report = certify.certify_perfect(t, dimension_count=dimension_count)
+    assert report.verdict != "not_invariant"
+    for p, lam, defect, spec in report.per_bipartition:
+        dense_lam, dense_defect = tensors.isometry_defect(t, p)
+        assert abs(lam - dense_lam) <= 1e-14
+        assert abs(defect - dense_defect) <= 1e-14
+        assert spec == tensors.schur_spectrum(t, p)
+        # J ascending; within one J, distinct rounded moduli descending
+        keys = [(tj, -mod) for tj, mod, _ in spec.entries]
+        assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize("legs,dimension_count", KERNEL_CASES)
+def test_block_moduli_are_the_gram_spectrum(legs, dimension_count):
+    # each sigma_J^2 is a Gram eigenvalue of multiplicity d_J = 2J+1
+    t = tensors.random_invariant(legs, np.random.default_rng(42))
+    dims = tuple(su2.dim(leg) for leg in legs) if dimension_count else None
+    for p in tensors.bipartitions(len(legs), dims=dims):
+        blocks = tensors._block_moduli(t, p)
+        got = np.sort(np.concatenate(
+            [np.repeat(sigma**2, su2.dim(tj)) for tj, sigma in blocks.items()]))
+        want = np.linalg.eigvalsh(tensors.gram(t, p))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_certify_on_warm_caches_builds_no_isometry(monkeypatch):
+    t = tensors.random_invariant((1,) * 8, np.random.default_rng(43))
+    certify.certify_perfect(t)
+    calls = {"chain_isometry": 0, "invariance_defect": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(su2, "chain_isometry")
+    counted(tensors, "invariance_defect")
+    certify.certify_perfect(t)
+    assert calls == {"chain_isometry": 0, "invariance_defect": 1}
+
+
+@pytest.mark.parametrize("n,limit_kb", [(8, 12), (10, 64)])
+def test_certify_report_is_compact(n, limit_kb):
+    t = tensors.random_invariant((1,) * n, np.random.default_rng(44))
+    certify.certify_perfect(t)  # warm the caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = certify.certify_perfect(t)
+        gc.collect()
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "not_perfect"
+    assert held < limit_kb * 1024
+
+
+@pytest.mark.parametrize("scale,stored", [(1.0, np.uint32), (10.0, np.float64)])
+def test_certify_report_moduli_repack_exactly(scale, stored):
+    # unit tensors store the 9-decimal moduli as integers k (k / 1e9);
+    # moduli above 4.29 stay float64; both re-pack to schur_spectrum's entries
+    for legs in ((1,) * 6, (2,) * 5):
+        t = tensors.random_invariant(legs, np.random.default_rng(46)).scaled(scale)
+        report = certify.certify_perfect(t)
+        assert report.moduli.dtype == stored
+        for p, _, _, spec in report.per_bipartition:
+            assert spec == tensors.schur_spectrum(t, p)
+
+
+def test_certify_report_keeps_no_tensor_and_defers_no_work(monkeypatch):
+    t = tensors.random_invariant((1,) * 6, np.random.default_rng(45))
+    ref = weakref.ref(t)
+    report = certify.certify_perfect(t)
+    want = [(p, tensors.schur_spectrum(t, p)) for p in tensors.bipartitions(6)]
+    del t
+    gc.collect()
+    assert ref() is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numerical work after certify_perfect returned")
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(tensors, "_block_moduli", refuse)
+    assert [(p, spec) for p, _, _, spec in report.per_bipartition] == want
+    assert len(report.to_json_dict()["bipartitions"]) == len(want)
 
 
 def test_layout_checks():

@@ -223,6 +223,42 @@ def test_certify_missing_file_is_usage_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_certify_malformed_file_is_usage_error(capsys, tmp_path):
+    for i, doc in enumerate(({"data": []}, {"legs": ["1/2"], "data": [[1, 0]]},
+                             {"legs": ["1/2"], "data": [[1, 0], "x"]})):
+        f = tmp_path / f"bad{i}.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["certify", "--file", str(f)])
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert "verdict" not in out
+
+
+def test_tolerance_must_be_finite_and_positive(capsys, tmp_path):
+    f = tmp_path / "eps.json"
+    _write_tensor(f, tensors.LabeledTensor((1, 1), su2.epsilon_matrix(1) / np.sqrt(2)))
+    for value in ("-1", "0", "nan", "inf", "-inf", "x"):
+        for argv in (["certify", "--file", str(f)], ["search", "--path", "1/2,1/2,1"]):
+            code, out, err = run(capsys, argv + [f"--tolerance={value}"])
+            assert code == 2
+            assert "tolerance must be a finite number > 0" in err
+            assert out == ""
+    code, _, _ = run(capsys, ["certify", "--file", str(f), "--tolerance", "1e-8"])
+    assert code == 0
+
+
+def test_valence_below_two_is_usage_error(capsys):
+    # nogo used to blame "legs ()" and repart --valence 0 raised an IndexError
+    for command in ("nogo", "repart", "basis", "master"):
+        for value in ("1", "0", "-2"):
+            code, out, err = run(capsys, [command, f"--valence={value}"])
+            assert code == 2
+            assert f"valence must be at least 2, got {value}" in err
+            assert "Traceback" not in err
+            assert out == ""
+
+
 def test_search_vertex_exits_zero(capsys):
     code, out, _ = run(
         capsys, ["search", "--path", "1/2,1/2,1", "--restarts", "20", "--seed", "7"]

@@ -19,6 +19,18 @@ def test_labeled_tensor_rejects_nonfinite():
         tensors.LabeledTensor((1,), [1.0, float("nan")])
 
 
+def test_labeled_tensor_accepts_exact_shape_or_flat_vector_only():
+    legs = (1, 1, 2)
+    data = np.arange(12.0)
+    flat = tensors.LabeledTensor(legs, data)
+    exact = tensors.LabeledTensor(legs, data.reshape(2, 2, 3))
+    assert flat.data.shape == exact.data.shape == (2, 2, 3)
+    assert np.array_equal(flat.data, exact.data)
+    for bad in (data.reshape(3, 2, 2), data.reshape(4, 3), np.arange(8.0)):
+        with pytest.raises(ValueError):
+            tensors.LabeledTensor(legs, bad)
+
+
 def test_overlap_requires_matching_legs():
     t = tensors.LabeledTensor((1,), [1.0, 0.0])
     u = tensors.LabeledTensor((2,), [1.0, 0.0, 0.0])
@@ -41,6 +53,14 @@ def test_bipartition_counts():
     assert len(tensors.bipartitions(6)) == 6 + 15 + 10
     assert len(tensors.bipartitions(4, balance="balanced_only")) == 3
     assert len(tensors.bipartitions(6, balance="balanced_only")) == 10
+
+
+def test_bipartitions_are_a_cached_tuple():
+    parts = tensors.bipartitions(6)
+    assert isinstance(parts, tuple)
+    assert tensors.bipartitions(6) is parts
+    dims = (2, 2, 2, 2, 5)
+    assert tensors.bipartitions(5, dims=dims) is tensors.bipartitions(5, dims=dims)
 
 
 def test_bipartition_canonical_side():
@@ -157,6 +177,22 @@ def test_json_roundtrip():
     u = tensors.loads_tensor(tensors.dumps_tensor(t))
     assert u.legs == t.legs
     assert np.array_equal(u.data, t.data)
+
+
+@pytest.mark.parametrize("doc", [
+    {"data": []},
+    {"legs": ["1/2"]},
+    [],
+    {"legs": "1/2", "data": [[1, 0], [0, 0]]},
+    {"legs": [1], "data": [[1, 0], [0, 0]]},
+    {"legs": ["1/2"], "data": 5},
+    {"legs": ["1/2"], "data": [[1, 0], [0]]},
+    {"legs": ["1/2"], "data": [["a", 0], [0, 0]]},
+    {"legs": ["1/2"], "data": [[1, 0]]},
+])
+def test_from_json_dict_rejects_missing_or_malformed_fields(doc):
+    with pytest.raises(ValueError):
+        tensors.from_json_dict(doc)
 
 
 def test_contract_pair_traces_out_legs():
