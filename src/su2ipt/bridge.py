@@ -170,11 +170,15 @@ def theta_single(path):
 
 
 def theta(j_path, k_path):
-    """Theta network of two coupling paths; zero unless the paths coincide."""
+    """Theta network of two coupling paths; zero unless the paths coincide.
+
+    Both paths are validated first, so an invalid step raises ValueError
+    even when the paths differ.
+    """
     j_path, k_path = tuple(j_path), tuple(k_path)
-    if j_path != k_path:
-        return Fraction(0)
-    return theta_single(j_path)
+    value = theta_single(j_path)
+    theta_single(k_path)
+    return value if j_path == k_path else Fraction(0)
 
 
 def theta_label(label):
@@ -248,8 +252,10 @@ def build_bridge_state(label):
 
 @lru_cache(maxsize=None)
 def _basis_states(valence, n1):
+    """Labels, numeric states and float theta norms of a split's basis."""
     labels = bridge_basis(valence, n1, 1)
-    return labels, tuple(build_bridge_state(m) for m in labels)
+    return (labels, tuple(build_bridge_state(m) for m in labels),
+            tuple(float(theta_label(m)) for m in labels))
 
 
 def calibrate(max_valence=8, tolerance=1e-10):
@@ -327,11 +333,11 @@ def decompose(t, n1, tolerance=1e-10):
     """
     if any(leg != 1 for leg in t.legs):
         raise ValueError("decompose requires all legs spin 1/2")
-    labels, states = _basis_states(t.valence, n1)
+    labels, states, thetas = _basis_states(t.valence, n1)
     entries = {}
     recon = np.zeros_like(t.data)
-    for m, s in zip(labels, states):
-        c = s.overlap(t) / float(theta_label(m))
+    for m, s, th in zip(labels, states, thetas):
+        c = s.overlap(t) / th
         entries[m] = c
         recon = recon + c * s.data
     nrm = t.norm()

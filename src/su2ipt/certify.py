@@ -212,23 +212,36 @@ def _walk_bin_minima(signs, grid, bins):
     """Min residual of one walk equation in each relative-phase bin.
 
     The walk is s0*3/2 e^{i th_s} + s1*3/2 e^{i(th_a+th_s-xi)} + s2*3/2
-    e^{i xi} + 1/2 e^{i th_a} = 4 and the relative phase is th_s - xi.
+    e^{i xi} + 1/2 e^{i th_a} = 4 and the relative phase is th_s - xi. Its
+    residual is |U + V e^{i th_a}| with U = s0*3/2 e^{i th_s} + s2*3/2
+    e^{i xi} - 4 and V = s1*3/2 e^{i(th_s-xi)} + 1/2, so for each (th_s, xi)
+    the minimum over the th_a grid lies at one of the two grid points
+    around arg(-U/V) (see phase_walk_feasibility).
     """
     s0, s1, s2 = signs
     angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    step = 2.0 * math.pi / grid
+    turns = np.exp(1j * angles)
+    term_xi = s2 * 1.5 * turns
+    term_a = 0.5 * turns
     best = np.full(bins, np.inf)
-    th_a = angles[:, None]
-    xi = angles[None, :]
-    term_a = 0.5 * np.exp(1j * th_a)
     for th_s in angles:
-        total = (
-            s0 * 1.5 * np.exp(1j * th_s)
-            + s1 * 1.5 * np.exp(1j * (th_a + th_s - xi))
-            + s2 * 1.5 * np.exp(1j * xi)
-            + term_a
-            - 4.0
-        )
-        res_by_xi = np.abs(total).min(axis=0)
+        term_s = s0 * 1.5 * np.exp(1j * th_s)
+        u = term_s + term_xi - 4.0
+        v = s1 * 1.5 * np.exp(1j * (th_s - angles)) + 0.5
+        below = np.floor(np.mod(np.angle(-u / v), 2.0 * math.pi) / step).astype(int)
+        res_by_xi = np.full(grid, np.inf)
+        for k in (below % grid, (below + 1) % grid):
+            # the walk written term by term, as the full scan sums it
+            th_a = angles[k]
+            total = (
+                term_s
+                + s1 * 1.5 * np.exp(1j * (th_a + th_s - angles))
+                + term_xi
+                + term_a[k]
+                - 4.0
+            )
+            res_by_xi = np.minimum(res_by_xi, np.abs(total))
         dphi = np.mod(th_s - angles, 2.0 * math.pi)
         idx = np.minimum((dphi / (2.0 * math.pi) * bins).astype(int), bins - 1)
         np.minimum.at(best, idx, res_by_xi)
@@ -243,6 +256,13 @@ def phase_walk_feasibility(grid=200, bins=720):
     disjoint exactly because cos(pi/4) < 7/9. The independent grid scan
     minimizes each walk's residual per relative-phase bin and reports the
     smallest joint residual, which must stay strictly positive.
+
+    The scan is O(grid^2), not O(grid^3). At fixed th_s and xi a walk's
+    residual is |U + V e^{i th_a}|, whose square is |U|^2 + |V|^2 +
+    2|U||V| cos(th_a - th*) with th* = arg(-U/V) (|V| >= 1, so th* exists
+    whenever U != 0). It falls monotonically as th_a approaches th* along
+    the circle, so the minimum over the th_a grid is at one of the two grid
+    points on either side of th*, and only those two are evaluated.
     """
     x = math.acos(7.0 / 9.0)
     interval_a = (-2.0 * x, 2.0 * x)

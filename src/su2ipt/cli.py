@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Every command echoes its resolved configuration, prints exact rationals as
-p/q, and supports --json for machine output. Exit codes encode verdicts:
-0 for success or feasible, 1 for infeasible or not-perfect results, 2 for
-usage errors. With --no-meta the JSON output is byte-identical across runs
-of the same argv.
+p/q, and supports --json for machine output (compact JSON on one line).
+Exit codes encode verdicts: 0 for success or feasible, 1 for infeasible or
+not-perfect results, 2 for usage errors. With --no-meta the JSON output is
+byte-identical across runs of the same argv.
 """
 
 import argparse
@@ -79,7 +79,7 @@ def _emit(args, config, result, text_lines, exit_code):
                 "tool": f"su2ipt {__version__}",
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
         print("config:", " ".join(f"{k}={v}" for k, v in sorted(config.items())))
         for line in text_lines:
@@ -318,9 +318,10 @@ def _build_parser():
 
 
 def run(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the parser is not kept while the command runs: its reference cycles
+        # then die young, before the collector moves them to old generations
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

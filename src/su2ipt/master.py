@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -51,15 +52,6 @@ class MasterEquation:
             tuple((k, w * factor) for k, w in self.terms),
             self.rhs * factor,
         )
-
-    def evaluate(self, entries, lam):
-        """Complex residual of this equation at the given coefficients."""
-        total = 0j
-        for k_path, weight in self.terms:
-            a = complex(entries[BridgeLabel(self.j_path, k_path)])
-            b = complex(entries[BridgeLabel(self.jp_path, k_path)])
-            total += float(weight) * a * np.conj(b)
-        return total - float(self.rhs) * lam
 
     def text(self):
         def c(j, k):
@@ -103,6 +95,48 @@ class MasterSystem:
             else:
                 out.append(eq)
         return MasterSystem(self.valence, self.n1, self.labels, tuple(out))
+
+    @cached_property
+    def compiled(self):
+        """Per equation: ((i, i', weight), ...) over label indices, and rhs.
+
+        Term (i, i', w) contributes w c_i conj(c_i'); weights and the right
+        side are floats.
+        """
+        pos = {m: i for i, m in enumerate(self.labels)}
+        return tuple(
+            (
+                tuple(
+                    (pos[BridgeLabel(eq.j_path, k)], pos[BridgeLabel(eq.jp_path, k)],
+                     float(w))
+                    for k, w in eq.terms
+                ),
+                float(eq.rhs),
+            )
+            for eq in self.equations
+        )
+
+    def residuals(self, cols, lam):
+        """Root-sum-square residual at many points at once.
+
+        cols[i] holds the values of label i (a scalar or an array of points);
+        lam is a scalar or an array over the same points. Real and imaginary
+        parts are kept apart so that every product rounds as in scalar
+        complex arithmetic; numpy's complex array loops may fuse
+        multiply-adds, which moves the last digit of the replay's figures.
+        """
+        cols = np.asarray(cols, dtype=complex)
+        re, im = cols.real, cols.imag
+        total = 0.0
+        for terms, rhs in self.compiled:
+            # w c_a conj(c_b), summed term by term in equation order
+            acc_re = acc_im = 0.0
+            for a, b, w in terms:
+                wa_re, wa_im = w * re[a], w * im[a]
+                acc_re = acc_re + (wa_re * re[b] + wa_im * im[b])
+                acc_im = acc_im + (wa_im * re[b] - wa_re * im[b])
+            total = total + np.hypot(acc_re - rhs * lam, acc_im) ** 2
+        return np.sqrt(total)
 
     def to_json_dict(self):
         return {
@@ -159,10 +193,7 @@ def residual(c, sys, lam):
             f"coefficient labels do not match the system "
             f"(missing {len(need - have)}, extra {len(have - need)})"
         )
-    total = 0.0
-    for eq in sys.equations:
-        total += abs(eq.evaluate(c.entries, lam)) ** 2
-    return math.sqrt(total)
+    return float(sys.residuals([complex(c.entries[m]) for m in sys.labels], lam))
 
 
 # The named labels of the balanced qubit splits at valences 4 and 6, in the
@@ -199,7 +230,8 @@ class SolutionFamily:
     """Closed-form solution set of a master system.
 
     Bound entries are realized by an evaluator mapping (lambda, parameter
-    dict) to coefficient values; the string forms are for display only.
+    dict) to coefficient values; parameters may be arrays of points, which
+    give arrays of values. The string forms are for display only.
     """
 
     valence: int
@@ -301,9 +333,9 @@ def solve_qubit_valence6(gauge_fixed=False):
     def evaluator(lam, p):
         amp = p["A"]
         rest = lam / 3.0 - 0.75 * amp * amp
-        if rest < -1e-12 * max(lam, 1.0):
+        if np.any(rest < -1e-12 * max(lam, 1.0)):
             raise ValueError("amplitude outside the family domain A^2 <= 4 lam/9")
-        root = math.sqrt(max(rest, 0.0))
+        root = np.sqrt(np.maximum(rest, 0.0))
         phi = 0.0 if gauge_fixed else p["phi"]
         return {
             LABELS6["top"]: math.sqrt(lam) * np.exp(1j * phi),

@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -64,8 +65,16 @@ class RepartitionMatrix:
         return np.array([[float(x) for x in row] for row in self.matrix])
 
     def is_involution(self):
-        m = np.array(self.matrix, dtype=object)
-        return bool((m @ m == np.eye(self.dim, dtype=int)).all())
+        """Whether R R = 1, as an exact product over the nonzero entries."""
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in self.matrix]
+        for i, row in enumerate(rows):
+            acc = {}
+            for k, x in row:
+                for j, y in rows[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+            if acc.get(i) != 1 or any(v for j, v in acc.items() if j != i):
+                return False
+        return True
 
     def on_basis(self, labels):
         """The same transformation with rows/columns in the given label order."""
@@ -81,23 +90,40 @@ class RepartitionMatrix:
             self.valence, self.word, labels, mat, self.sign_convention
         )
 
+    @cached_property
+    def _float_rows(self):
+        """Per row, the (column, float entry) pairs of its nonzero entries."""
+        return tuple(
+            tuple((j, float(x)) for j, x in enumerate(row) if x)
+            for row in self.matrix
+        )
+
+    def apply_columns(self, cols):
+        """Float transform of columns in `labels` order.
+
+        cols[j] holds the values of label j, a scalar or an array of points;
+        row i of the result is sum_j R_ij cols[j] over the nonzero R_ij.
+        """
+        cols = np.asarray(cols, dtype=complex)
+        out = np.zeros_like(cols)
+        for i, row in enumerate(self._float_rows):
+            for j, x in row:
+                out[i] = out[i] + x * cols[j]
+        return out
+
     def apply(self, c):
         """Transform a coefficient vector; exact when the entries are rational."""
         if set(c.entries) != set(self.labels):
             raise LabelMismatch("coefficient labels do not match this matrix")
-        exact = all(
-            isinstance(v, (int, Fraction)) for v in c.entries.values()
-        )
+        values = [c.entries[m] for m in self.labels]
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            rows = self.apply_columns([complex(v) for v in values])
+            return CoefficientVector(dict(zip(self.labels, rows.tolist())))
         out = {}
         for i, row_label in enumerate(self.labels):
-            if exact:
-                total = Fraction(0)
-                for j, col_label in enumerate(self.labels):
-                    total += self.matrix[i][j] * c.entries[col_label]
-            else:
-                total = 0j
-                for j, col_label in enumerate(self.labels):
-                    total += float(self.matrix[i][j]) * complex(c.entries[col_label])
+            total = Fraction(0)
+            for j, col_label in enumerate(self.labels):
+                total += self.matrix[i][j] * c.entries[col_label]
             out[row_label] = total
         return CoefficientVector(out)
 
@@ -239,7 +265,7 @@ def word_permutation(valence, tokens):
 def numeric_repart_matrix(valence, permutation, tolerance=1e-8):
     """Projection matrix from permuting basis states, snapped to rationals."""
     n1 = valence // 2
-    labels, states = bridge._basis_states(valence, n1)
+    labels, states, _thetas = bridge._basis_states(valence, n1)
     cols = []
     for s in states:
         moved = tensors.permute_legs(s, permutation)
@@ -359,6 +385,20 @@ def _residual_after(matrix, c, sys, lam):
     return master.residual(matrix.apply(c), sys, lam)
 
 
+def _grid_residuals_after(matrix, entries, sys, lam):
+    """Residuals of the matrix image at every point of a family grid.
+
+    entries maps each label to a value or an array over the grid points.
+    """
+    if matrix.labels != sys.labels:
+        raise LabelMismatch("matrix and system list their labels differently")
+    size = max(np.size(v) for v in entries.values())
+    cols = np.empty((len(sys.labels), size), dtype=complex)
+    for i, m in enumerate(sys.labels):
+        cols[i] = entries[m]
+    return sys.residuals(matrix.apply_columns(cols), lam)
+
+
 def _run_valence2():
     sys = _sys(2)
     label = BridgeLabel((1,), (1,))
@@ -414,8 +454,9 @@ def _run_valence4():
     # two constraints can never hold together
     grid = np.linspace(0.0, 2.0 * math.pi, 721)
     lam = 1.0
-    r_p = np.array([residual_at(pstar, d, lam) for d in grid])
-    r_c = np.array([residual_at(composed, d, lam) for d in grid])
+    on_grid = fam.evaluator(lam, {"phi0": grid, "phi1": 0.0})
+    r_p = _grid_residuals_after(pstar, on_grid, sys, lam)
+    r_c = _grid_residuals_after(composed, on_grid, sys, lam)
     total = r_p + r_c
     sum_err = float(np.max(np.abs(total - lam * math.sqrt(10.0))))
     steps = (
@@ -505,16 +546,17 @@ def _run_valence6():
         suff = max(suff, _residual_after(pstar, c, sys, lam))
     # necessity: violating (A, rho) stay bounded away
     lam = 1.0
-    amp_grid = np.linspace(0.0, 2.0 / 3.0, 81)
-    rho_grid = np.linspace(0.0, 2.0 * math.pi, 121)
-    off_min = math.inf
     star_amp = 2.0 / 3.0
-    for amp in amp_grid:
-        for rho in rho_grid:
-            if abs(amp - star_amp) < 2e-2 and min(rho, 2 * math.pi - rho) < 2e-2:
-                continue
-            c = fam.evaluate(lam, A=amp, phi=0.0, rho=rho, chi=0.4, psi=1.1)
-            off_min = min(off_min, _residual_after(pstar, c, sys, lam))
+    rho_grid = np.linspace(0.0, 2.0 * math.pi, 121)
+    near_rho = np.minimum(rho_grid, 2 * math.pi - rho_grid) < 2e-2
+    off_min = math.inf
+    # nine blocks of nine amplitudes keep the temporaries small
+    for amps in np.array_split(np.linspace(0.0, 2.0 / 3.0, 81), 9):
+        amp, rho = np.meshgrid(amps, rho_grid, indexing="ij")
+        off = ~((np.abs(amp - star_amp) < 2e-2) & near_rho)
+        on_grid = fam.evaluator(lam, {"A": amp[off], "phi": 0.0, "rho": rho[off],
+                                      "chi": 0.4, "psi": 1.1})
+        off_min = min(off_min, np.min(_grid_residuals_after(pstar, on_grid, sys, lam)))
     # the conjugated crossing: on the surviving set the image violates the
     # equations by exactly 3 lambda, and its top coefficient vanishes
     comp_res = []

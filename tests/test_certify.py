@@ -331,3 +331,35 @@ def test_ladder_json():
     rep = certify.schur_ladder_report(t, tensors.Bipartition((1, 2), (3, 4)))
     doc = rep.to_json_dict()
     assert doc["j_min"] == "0" and doc["j_max"] == "1"
+
+
+def _walk_bin_minima_full_scan(signs, grid, bins):
+    """O(grid^3) reference: every (th_s, th_a, xi) point of the grid."""
+    s0, s1, s2 = signs
+    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    th_s = angles[:, None, None]
+    th_a = angles[None, :, None]
+    xi = angles[None, None, :]
+    total = (s0 * 1.5 * np.exp(1j * th_s)
+             + s1 * 1.5 * np.exp(1j * (th_a + th_s - xi))
+             + s2 * 1.5 * np.exp(1j * xi) + 0.5 * np.exp(1j * th_a) - 4.0)
+    res = np.abs(total).min(axis=1)
+    dphi = np.mod(th_s[:, :, 0] - angles[None, :], 2.0 * math.pi)
+    idx = np.minimum((dphi / (2.0 * math.pi) * bins).astype(int), bins - 1)
+    best = np.full(bins, np.inf)
+    np.minimum.at(best, idx.ravel(), res.ravel())
+    return best
+
+
+@pytest.mark.parametrize("grid, bins", [(24, 48), (72, 180)])
+def test_walk_bin_minima_match_full_scan(grid, bins):
+    joint = []
+    for signs in ((-1.0, -1.0, -1.0), (-1.0, 1.0, 1.0)):
+        got = certify._walk_bin_minima(signs, grid, bins)
+        want = _walk_bin_minima_full_scan(signs, grid, bins)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.max(np.abs(got[finite] - want[finite])) < 1e-12
+        joint.append((got, want))
+    (g1, w1), (g2, w2) = joint
+    assert np.argmin(np.sqrt(g1**2 + g2**2)) == np.argmin(np.sqrt(w1**2 + w2**2))

@@ -1,10 +1,17 @@
 """End-to-end tests for the command line: text output, JSON shape, exit codes."""
 
+import contextlib
+import importlib.util
+import io
 import json
+import os
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from su2ipt import bridge, cli, su2, tensors
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def run(capsys, argv):
@@ -35,6 +42,19 @@ def test_theta_pair_is_orthogonality_aware(capsys):
     )
     assert code == 0
     assert lines(out)[-1] == "0"
+
+
+def test_theta_pair_with_invalid_step_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, ["theta", "--path", "1/2,1,1/2", "--path2", "1/2,7"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: step 1 -> 14 is not a spin-1/2 step" in err
+    assert "Traceback" not in err
+    code, _, err = run(capsys, ["theta", "--path", "1/2,7", "--path2", "1/2,1"])
+    assert code == 2
+    assert "Traceback" not in err
 
 
 def test_decimal_spin_token_is_usage_error(capsys):
@@ -356,3 +376,65 @@ def test_json_verdicts_match_exit_codes(capsys):
     code, out, _ = run(capsys, ["walk", "--json", "--no-meta"])
     assert code == 1
     assert json.loads(out)["result"]["disjoint"] is True
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded from its path, so the check below is the
+    benchmark's own exit-code and float-tolerance rule."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exact_outputs_match_the_stored_benchmark_outputs():
+    workloads = _benchmark_workloads()
+    with open(workloads.EXPECTED_EXACT) as fh:
+        entries = json.load(fh)
+    assert entries
+    for entry in entries:
+        argv = entry["argv"]
+        code, out, err = _run_quiet(argv + ["--json", "--no-meta"])
+        assert out.count("\n") == 1, argv
+        try:
+            workloads._check_cli(argv, entry["doc"], (code, out))
+        except workloads.CheckFailed as exc:
+            raise AssertionError(f"{' '.join(argv)}: {exc}; stderr {err!r}") from None
+
+
+_SPINS = st.sampled_from(
+    ["0", "1/2", "1", "3/2", "2", "5/2", "7", "-1/2", "1/3", "x", ""])
+_SPIN_LISTS = st.lists(_SPINS, min_size=1, max_size=6).map(",".join)
+_TOKENS = st.sampled_from(
+    ["P*", "P12", "P23", "P34", "P45", "P56", "P13", "P14", "P46", "P1,2",
+     "P4,6", "P11", "P1", "P79", "P0,3", "Q12", "P**", "12"])
+_WORDS = st.lists(_TOKENS, max_size=4).map(" ".join)
+
+
+def _assert_contract(argv):
+    code, _, err = _run_quiet(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=_SPIN_LISTS, path2=st.none() | _SPIN_LISTS)
+def test_theta_cli_contract(path, path2):
+    argv = ["theta", f"--path={path}"]
+    _assert_contract(argv + ([f"--path2={path2}"] if path2 is not None else []))
+
+
+@settings(max_examples=100, deadline=None)
+@given(valence=st.sampled_from([4, 6]), word=_WORDS,
+       convention=st.sampled_from(["binor", "swap"]))
+def test_repart_cli_contract(valence, word, convention):
+    _assert_contract(["repart", "--valence", str(valence), f"--word={word}",
+                      "--convention", convention])

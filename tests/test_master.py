@@ -160,3 +160,48 @@ def test_family_json_lists_parameters():
 def test_odd_valence_rejected():
     with pytest.raises(ValueError):
         master.build_master_system(5)
+
+
+def _reference_residual(c, sys, lam):
+    """Per-point residual written term by term over the exact equations."""
+    total = 0.0
+    for eq in sys.equations:
+        value = 0j
+        for k, w in eq.terms:
+            a = complex(c[bridge.BridgeLabel(eq.j_path, k)])
+            b = complex(c[bridge.BridgeLabel(eq.jp_path, k)])
+            value += float(w) * a * b.conjugate()
+        total += abs(value - float(eq.rhs) * lam) ** 2
+    return math.sqrt(total)
+
+
+def _family_draw(valence, rng, lam):
+    if valence == 2:
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        return {bridge.BridgeLabel((1,), (1,)): math.sqrt(lam) * phase}
+    fam = {4: master.solve_qubit_valence4, 6: master.solve_qubit_valence6}[valence]()
+    return fam.draw(rng, lam)[0].entries
+
+
+@pytest.mark.parametrize("valence", [2, 4, 6])
+def test_batched_residuals_match_per_point_reference(valence):
+    rng = np.random.default_rng(valence)
+    sys = master.build_master_system(valence).normalized()
+    points, lams, want = [], [], []
+    for i in range(200):
+        lam = rng.uniform(0.3, 3.0)
+        c = _family_draw(valence, rng, lam)
+        if i % 2:
+            # half the draws leave the family, so residuals are of order one
+            c = {m: v + complex(*rng.normal(size=2)) for m, v in c.items()}
+        points.append([complex(c[m]) for m in sys.labels])
+        lams.append(lam)
+        want.append(_reference_residual(c, sys, lam))
+    got = sys.residuals(np.array(points).T, np.array(lams))
+    assert got.shape == (200,)
+    assert np.max(np.abs(got - np.array(want))) < 1e-14
+    assert max(want[1::2]) > 0.1
+    for i in (0, 1):
+        c = bridge.CoefficientVector(dict(zip(sys.labels, points[i])))
+        assert abs(master.residual(c, sys, lams[i]) - want[i]) < 1e-14
+

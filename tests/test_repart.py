@@ -284,3 +284,69 @@ def test_master_residual_preserved_by_sign_flip():
         m: (-v if m.j_path != m.k_path else v) for m, v in c.entries.items()
     })
     assert master.residual(flipped, sys, 1.0) < 1e-12
+
+
+def _single_token_words(valence):
+    n1 = valence // 2
+    pairs = [(i, j) for i in range(1, valence + 1) for j in range(i + 1, valence + 1)
+             if j <= n1 or i > n1]
+    return ["P*"] + [f"P{i}{j}" if valence < 10 else f"P{i},{j}" for i, j in pairs]
+
+
+def _dense_involution(r):
+    # exact dense product on integers: (L R)(L R) = L^2 1 with L the common
+    # denominator of the entries
+    den = math.lcm(*(x.denominator for row in r.matrix for x in row))
+    m = np.array([[int(x * den) for x in row] for row in r.matrix], dtype=object)
+    return bool((m @ m == den * den * np.eye(r.dim, dtype=int)).all())
+
+
+@pytest.mark.parametrize("valence", [4, 6, 8, 10])
+def test_sparse_involution_matches_dense_product(valence):
+    for token in _single_token_words(valence):
+        (r,) = repart.parse_word(valence, token)
+        assert r.is_involution() is _dense_involution(r) is True, token
+    # P12 and P* swap disjoint leg pairs and commute, so "P12 P*" is an
+    # involution; "P23 P*" shares leg 3 and is not
+    for word, want in (("P12 P*", True), ("P23 P*", False), ("P12 P23", False)):
+        r = repart.compose(repart.parse_word(6, word))
+        assert r.is_involution() is _dense_involution(r) is want, word
+    # a unit diagonal with a surviving off-diagonal entry is not an involution
+    labels = tuple(bridge.bridge_basis(4, 2))
+    shear = repart.RepartitionMatrix(4, ("X",), labels, ((F(1), F(1)), (F(0), F(1))))
+    assert shear.is_involution() is _dense_involution(shear) is False
+
+
+def _decompose_reference(valence, permutation):
+    n1 = valence // 2
+    labels, states, _thetas = bridge._basis_states(valence, n1)
+    cols = []
+    for s in states:
+        c = bridge.decompose(tensors.permute_legs(s, permutation), n1,
+                             tolerance=math.inf)
+        cols.append([complex(c.entries[m]).real for m in labels])
+    return [[Fraction(x).limit_denominator(10**6) for x in row]
+            for row in np.array(cols).T]
+
+
+@pytest.mark.parametrize("valence", [4, 6, 8, 10])
+def test_numeric_matrix_matches_per_state_decompose(valence):
+    n1 = valence // 2
+    for pair in ((n1, n1 + 1), (1, 2)):
+        perm = repart._swap_permutation(valence, *pair)
+        got = repart.numeric_repart_matrix(valence, perm)
+        assert [list(row) for row in got.matrix] == _decompose_reference(valence, perm)
+        assert all(isinstance(x, Fraction) for row in got.matrix for x in row)
+
+
+def test_apply_columns_matches_dense_product():
+    rng = np.random.default_rng(5)
+    r = repart.compose(repart.parse_word(6, "P45 P* P45"))
+    cols = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    batch = r.apply_columns(cols)
+    np.testing.assert_allclose(batch, r.as_float() @ cols, rtol=0, atol=1e-15)
+    # apply's float branch is the one-point form of the same kernel
+    for p in range(7):
+        c = bridge.CoefficientVector(dict(zip(r.labels, cols[:, p])))
+        image = r.apply(c)
+        assert [image.entries[m] for m in r.labels] == list(batch[:, p])
