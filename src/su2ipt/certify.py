@@ -436,23 +436,11 @@ class LadderReport(NamedTuple):
 def schur_ladder_report(t, p):
     """Schur spectrum annotated with the reachable total-spin range.
 
-    The largest reachable J is the sum of the first-side spins; the smallest
-    follows from coupling them pairwise with free signs. Multiplicities count
-    the coupling paths landing on each J.
+    Multiplicities count the A-side coupling paths landing on each J, read
+    from the cached coupled columns of tensors._top_columns.
     """
     spec = tensors.schur_spectrum(t, p)
-    a_spins = [t.legs[i - 1] for i in p.a]
-    counts = {0: 1} if not a_spins else None
-    for tj in a_spins:
-        if counts is None:
-            counts = {tj: 1}
-            continue
-        new = {}
-        for cur, mult in counts.items():
-            for nxt in range(abs(cur - tj), cur + tj + 1, 2):
-                new[nxt] = new.get(nxt, 0) + mult
-        counts = new
-    expected = tuple(sorted(counts.items()))
-    return LadderReport(
-        spec, min(counts), max(counts), expected
-    )
+    top = tensors._top_columns(tuple(t.legs[i - 1] for i in p.a))
+    # an empty A side couples only to J = 0, once
+    expected = tuple((tj, cols.shape[1]) for tj, cols in top.items()) or ((0, 1),)
+    return LadderReport(spec, expected[0][0], expected[-1][0], expected)

@@ -1,7 +1,11 @@
 """Command-line interface.
 
-Every command echoes its resolved configuration, prints exact rationals as
-p/q, and supports --json for machine output (compact JSON on one line).
+Each subcommand is declared once, in `_COMMANDS`: its handler, the names of
+its options (argparse specs in `_OPTIONS`) and any per-command defaults. A
+run builds options only for the subcommand it dispatches to. A handler
+returns (result, text lines, exit code); `run` echoes the parsed arguments
+as the resolved configuration and prints the result. Exact rationals print
+as p/q, and --json gives machine output (compact JSON on one line).
 Exit codes encode verdicts: 0 for success or feasible, 1 for infeasible or
 not-perfect results, 2 for usage errors. With --no-meta the JSON output is
 byte-identical across runs of the same argv.
@@ -71,38 +75,20 @@ def _fmt(x):
     return str(x)
 
 
-def _emit(args, config, result, text_lines, exit_code):
-    if args.json:
-        doc = {"config": config, "result": result}
-        if not args.no_meta:
-            doc["meta"] = {
-                "tool": f"su2ipt {__version__}",
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            }
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        print("config:", " ".join(f"{k}={v}" for k, v in sorted(config.items())))
-        for line in text_lines:
-            print(line)
-    return exit_code
-
-
 def _cmd_theta(args):
     path = parse_spin_list(args.path)
-    config = {"command": "theta", "path": args.path, "path2": args.path2}
     if args.path2 is not None:
-        path2 = parse_spin_list(args.path2)
-        value = bridge.theta(path, path2)
+        value = bridge.theta(path, parse_spin_list(args.path2))
     else:
         value = bridge.theta_single(path)
-    result = {"theta": _fmt(value)}
-    return _emit(args, config, result, [_fmt(value)], 0)
+    return {"theta": _fmt(value)}, [_fmt(value)], 0
 
 
 def _cmd_basis(args):
     valence = args.valence
-    n1 = args.split if args.split is not None else valence // 2
-    config = {"command": "basis", "valence": valence, "split": n1}
+    if args.split is None:
+        args.split = valence // 2  # echoed in config as resolved
+    n1 = args.split
     labels = bridge.bridge_basis(valence, n1)
     rows = [
         {"label": m.text(), "bridge": su2.format_spin(m.bridge),
@@ -111,13 +97,14 @@ def _cmd_basis(args):
     ]
     lines = [f"{len(labels)} bridge labels for valence {valence}, split {n1}"]
     lines += [f"  {r['label']}   theta = {r['theta']}" for r in rows]
-    return _emit(args, config, {"labels": rows}, lines, 0)
+    return {"labels": rows}, lines, 0
 
 
 def _cmd_master(args):
     valence = args.valence
-    n1 = args.split if args.split is not None else valence // 2
-    config = {"command": "master", "valence": valence, "split": n1}
+    if args.split is None:
+        args.split = valence // 2  # echoed in config as resolved
+    n1 = args.split
     sys_ = master.build_master_system(valence, n1).normalized()
     result = sys_.to_json_dict()
     lines = [f"master system for valence {valence}, split {n1}:"]
@@ -134,16 +121,12 @@ def _cmd_master(args):
         for m, form in fam.bound_forms.items():
             lines.append(f"  c[{m.text()}] = {form}")
         lines.append(f"  domain: {fam.domain}")
-    return _emit(args, config, result, lines, 0)
+    return result, lines, 0
 
 
 def _cmd_repart(args):
     valence = args.valence
     word = args.word
-    config = {
-        "command": "repart", "valence": valence, "word": word,
-        "convention": args.convention,
-    }
     if args.convention == "swap":
         perm = repart.word_permutation(valence, word.split())
         mat = repart.numeric_repart_matrix(valence, perm)
@@ -163,17 +146,12 @@ def _cmd_repart(args):
             f"  {m.text():28s} " + "  ".join(f"{_fmt(x):>6s}" for x in row)
         )
     lines.append(f"involution: {involution}")
-    return _emit(args, config, result, lines, 0)
+    return result, lines, 0
 
 
 def _cmd_nogo(args):
-    valence = args.valence
-    config = {
-        "command": "nogo", "valence": valence,
-        "restarts": args.restarts, "seed": args.seed,
-    }
     trace = repart.algorithm1_run(
-        valence, restarts=args.restarts, seed=args.seed
+        args.valence, restarts=args.restarts, seed=args.seed
     )
     lines = []
     if not trace.exact:
@@ -186,15 +164,10 @@ def _cmd_nogo(args):
         lines.append(f"certificate: {c}")
     lines.append(("feasible: " if trace.feasible else "infeasible: ")
                  + trace.summary.split(": ", 1)[-1])
-    return _emit(args, config, trace.to_json_dict(), lines,
-                 0 if trace.feasible else 1)
+    return trace.to_json_dict(), lines, 0 if trace.feasible else 1
 
 
 def _cmd_certify(args):
-    config = {
-        "command": "certify", "file": args.file,
-        "tolerance": args.tolerance,
-    }
     with open(args.file) as fh:
         t = tensors.from_json_dict(json.load(fh))
     report = certify.certify_perfect(t, tolerance=args.tolerance)
@@ -207,17 +180,11 @@ def _cmd_certify(args):
             f"  A={p.a}  lambda = {_fmt(lam)}  defect = {_fmt(defect)}"
         )
     lines.append(f"verdict: {report.verdict}")
-    return _emit(args, config, report.to_json_dict(), lines,
-                 0 if report.verdict == "perfect" else 1)
+    return report.to_json_dict(), lines, 0 if report.verdict == "perfect" else 1
 
 
 def _cmd_search(args):
     legs = parse_spin_list(args.path)
-    config = {
-        "command": "search", "path": args.path,
-        "restarts": args.restarts, "seed": args.seed,
-        "tolerance": args.tolerance,
-    }
     result = certify.search_min_defect(
         legs, restarts=args.restarts, seed=args.seed
     )
@@ -227,12 +194,11 @@ def _cmd_search(args):
         f" {_fmt(result.best_defect)}",
         "a perfect point was found" if ok else "no perfect point found",
     ]
-    return _emit(args, config, result.to_json_dict(), lines, 0 if ok else 1)
+    return result.to_json_dict(), lines, 0 if ok else 1
 
 
 def _cmd_layout(args):
     legs = parse_spin_list(args.path)
-    config = {"command": "layout", "path": args.path}
     checks = {}
     if len(legs) % 2 == 0:
         checks["even_equal_spins"] = certify.layout_check_even(legs)
@@ -244,12 +210,10 @@ def _cmd_layout(args):
     verdict = "pass" if all(v == "pass" for v in checks.values()) else "fail"
     lines = [f"  {k}: {v}" for k, v in sorted(checks.items())]
     lines.append(f"layout verdict: {verdict}")
-    result = {"checks": checks, "verdict": verdict}
-    return _emit(args, config, result, lines, 0 if verdict == "pass" else 1)
+    return {"checks": checks, "verdict": verdict}, lines, 0 if verdict == "pass" else 1
 
 
 def _cmd_walk(args):
-    config = {"command": "walk"}
     report = certify.phase_walk_feasibility()
     lines = [
         f"x = arccos(7/9) = {_fmt(report.x)}",
@@ -264,71 +228,87 @@ def _cmd_walk(args):
         if report.disjoint and report.grid_min_residual > 1e-3
         else "feasible window overlap found",
     ]
-    return _emit(args, config, report.to_json_dict(), lines,
-                 1 if report.disjoint else 0)
+    return report.to_json_dict(), lines, 1 if report.disjoint else 0
 
 
-def _build_parser():
+# argparse spec of each option, by name; --json and --no-meta go on every command
+_OPTIONS = {
+    "valence": {"type": _valence, "required": True},
+    "split": {"type": int, "default": None},
+    "path": {"required": True},
+    "path2": {"default": None},
+    "word": {"default": "P*"},
+    "file": {"required": True},
+    "restarts": {"type": int},
+    "seed": {"type": int, "default": 0},
+    "tolerance": {"type": _tolerance, "default": 1e-10},
+    "convention": {"choices": ("binor", "swap"), "default": "binor"},
+}
+# subcommand -> (handler, option names, per-command option defaults)
+_COMMANDS = {
+    "theta": (_cmd_theta, ("path", "path2"), {}),
+    "basis": (_cmd_basis, ("valence", "split"), {}),
+    "master": (_cmd_master, ("valence", "split"), {}),
+    "repart": (_cmd_repart, ("valence", "word", "convention"), {}),
+    "nogo": (_cmd_nogo, ("valence", "restarts", "seed"), {"restarts": 60}),
+    "certify": (_cmd_certify, ("file", "tolerance"), {}),
+    "search": (_cmd_search, ("path", "restarts", "seed", "tolerance"),
+               {"restarts": 100}),
+    "layout": (_cmd_layout, ("path",), {}),
+    "walk": (_cmd_walk, (), {}),
+}
+
+
+def _parse(argv):
+    """Parse argv, adding options only to the subcommand that argv names.
+
+    The top-level parser takes no option with a value, so the first token
+    not starting with "-" is the subcommand argparse will dispatch to.
+    """
+    command = next((a for a in argv if not a.startswith("-")), None)
     p = argparse.ArgumentParser(
         prog="su2ipt",
         description="invariant perfect tensor toolkit",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **flags):
+    for name, (fn, options, defaults) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        if flags.get("valence"):
-            sp.add_argument("--valence", type=_valence, required=True)
-        if flags.get("split"):
-            sp.add_argument("--split", type=int, default=None)
-        if flags.get("path"):
-            sp.add_argument("--path", required=flags["path"] == "req")
-        if flags.get("path2"):
-            sp.add_argument("--path2", default=None)
-        if flags.get("word"):
-            sp.add_argument("--word", default="P*")
-        if flags.get("file"):
-            sp.add_argument("--file", required=True)
-        if flags.get("restarts"):
-            sp.add_argument("--restarts", type=int, default=flags["restarts"])
-        if flags.get("seed"):
-            sp.add_argument("--seed", type=int, default=0)
-        if flags.get("tolerance"):
-            sp.add_argument("--tolerance", type=_tolerance, default=1e-10)
-        if flags.get("convention"):
-            sp.add_argument(
-                "--convention", choices=("binor", "swap"), default="binor"
-            )
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--no-meta", dest="no_meta", action="store_true")
-        sp.set_defaults(fn=fn)
-        return sp
-
-    add("theta", _cmd_theta, path="req", path2=True)
-    add("basis", _cmd_basis, valence=True, split=True)
-    add("master", _cmd_master, valence=True, split=True)
-    add("repart", _cmd_repart, valence=True, word=True, convention=True)
-    add("nogo", _cmd_nogo, valence=True, restarts=60, seed=True)
-    add("certify", _cmd_certify, file=True, tolerance=True)
-    add("search", _cmd_search, path="req", restarts=100, seed=True,
-        tolerance=True)
-    add("layout", _cmd_layout, path="req")
-    add("walk", _cmd_walk)
-    return p
+        if name == command:
+            for opt in options:
+                sp.add_argument(f"--{opt}", **_OPTIONS[opt])
+            sp.add_argument("--json", action="store_true")
+            sp.add_argument("--no-meta", dest="no_meta", action="store_true")
+            sp.set_defaults(fn=fn, **defaults)
+    return p.parse_args(argv)
 
 
 def run(argv):
     try:
         # the parser is not kept while the command runs: its reference cycles
         # then die young, before the collector moves them to old generations
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        result, lines, code = args.fn(args)
     except (Su2IptError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("fn", "json", "no_meta")}
+    if args.json:
+        doc = {"config": config, "result": result}
+        if not args.no_meta:
+            doc["meta"] = {
+                "tool": f"su2ipt {__version__}",
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            }
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    else:
+        print("config:", " ".join(f"{k}={v}" for k, v in sorted(config.items())))
+        for line in lines:
+            print(line)
+    return code
 
 
 def main():

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bridge, master, tensors
 from .bridge import BridgeLabel, CoefficientVector
-from .errors import CrossesBridge, LabelMismatch, ProjectionResidual
+from .errors import CrossesBridge, LabelMismatch, ProjectionResidual, ZeroTensor
 from .tensors import Bipartition
 
 __all__ = [
@@ -258,7 +258,7 @@ def word_permutation(valence, tokens):
     order = tuple(range(1, valence + 1))
     for token in tokens:
         swap = _swap_permutation(valence, *_token_pair(valence, token))
-        order = tuple(order[swap[p] - 1] for p in range(valence))
+        order = tuple(swap[order[p] - 1] for p in range(valence))
     return order
 
 
@@ -329,6 +329,8 @@ def unbalanced_shift_check(t, p, tolerance=1e-10):
     for leg in new_a:
         dim_new *= t.legs[leg - 1] + 1
     norm2 = t.norm_squared()
+    if norm2 == 0.0:
+        raise ZeroTensor("shift check of the zero tensor")
     lam_old = norm2 / dim_a
     lam_new = norm2 / dim_new
     ratio = lam_new / lam_old

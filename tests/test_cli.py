@@ -5,8 +5,10 @@ import importlib.util
 import io
 import json
 import os
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from su2ipt import bridge, cli, su2, tensors
@@ -162,6 +164,16 @@ def test_repart_swap_convention_is_plain(capsys):
     assert text[2].split()[-2:] == ["1", "0"]
     assert text[3].split()[-2:] == ["0", "-1"]
     assert text[-1] == "involution: True"
+
+
+def test_repart_conventions_agree_on_a_non_palindromic_word(capsys):
+    rows = {}
+    for convention in ("binor", "swap"):
+        code, out, _ = run(capsys, ["repart", "--valence", "4", "--word", "P* P12",
+                                    "--convention", convention])
+        assert code == 0
+        rows[convention] = [line.split()[-2:] for line in lines(out)[2:4]]
+    assert rows["binor"] == rows["swap"] == [["-1/2", "1"], ["-3/4", "-1/2"]]
 
 
 def test_repart_rejects_swap_crossing_the_split(capsys):
@@ -438,3 +450,111 @@ def test_theta_cli_contract(path, path2):
 def test_repart_cli_contract(valence, word, convention):
     _assert_contract(["repart", "--valence", str(valence), f"--word={word}",
                       "--convention", convention])
+
+
+# every subcommand's options, as its --help must list them
+_HELP_OPTIONS = {
+    "theta": {"--path", "--path2"},
+    "basis": {"--valence", "--split"},
+    "master": {"--valence", "--split"},
+    "repart": {"--valence", "--word", "--convention"},
+    "nogo": {"--valence", "--restarts", "--seed"},
+    "certify": {"--file", "--tolerance"},
+    "search": {"--path", "--restarts", "--seed", "--tolerance"},
+    "layout": {"--path"},
+    "walk": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_OPTIONS))
+def test_subcommand_help_lists_exactly_its_options(capsys, command):
+    code, out, _ = run(capsys, [command, "--help"])
+    assert code == 0
+    assert out.startswith(f"usage: su2ipt {command} ")
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out))
+    assert listed == _HELP_OPTIONS[command] | {"--help", "--json", "--no-meta"}
+
+
+# text line that ends every exit-1 run, by the commands that have verdicts
+_VERDICT_PREFIXES = {
+    "nogo": "infeasible: ",
+    "certify": "verdict: not_",
+    "search": "no perfect point found",
+    "layout": "layout verdict: fail",
+    "walk": "infeasible: ",
+}
+# mostly valid values, so that runs reach their verdicts, plus a few bad ones
+_INTS = st.sampled_from(["0", "1", "2", "3", "-1", "x"])
+_VALENCES = st.sampled_from(["2", "3", "4", "5", "6", "7", "1", "x"])
+_TOLERANCES = st.sampled_from(["1e-10", "1e-3", "0.5", "0", "nan", "x"])
+# search gets at most four legs of spin at most 1, so every run stays short
+_SEARCH_PATHS = st.lists(st.sampled_from(["0", "1/2", "1", "1/2", "1", "x"]),
+                         min_size=1, max_size=4).map(",".join)
+_TENSOR_FILES = ("eps.json", "identity4.json", "zero.json", "noise.json",
+                 "no_legs.json", "not_json.json", "missing.json")
+
+
+@pytest.fixture(scope="module")
+def tensor_dir(tmp_path_factory):
+    """Small certify inputs: perfect, not perfect, zero, not invariant, malformed."""
+    d = tmp_path_factory.mktemp("tensors")
+    eps = su2.epsilon_matrix(1).astype(complex) / np.sqrt(2)
+    _write_tensor(d / "eps.json", tensors.LabeledTensor((1, 1), eps))
+    ident = bridge.identity_state(4)
+    _write_tensor(d / "identity4.json",
+                  tensors.LabeledTensor(ident.legs, ident.data / ident.norm()))
+    _write_tensor(d / "zero.json", tensors.LabeledTensor((1, 1), np.zeros((2, 2))))
+    noise = np.random.default_rng(5).normal(size=(2, 2, 2))
+    _write_tensor(d / "noise.json", tensors.LabeledTensor((1, 1, 1), noise))
+    (d / "no_legs.json").write_text(json.dumps({"data": []}))
+    (d / "not_json.json").write_text("legs: 1/2")
+    return d
+
+
+def _options(required, **values):
+    """argv tail: each option but the required ones may be absent; values by name."""
+    parts = []
+    for name, v in values.items():
+        part = v.map(lambda x, name=name: [f"--{name}={x}"])
+        parts.append(part if name in required else st.none() | part)
+    return st.tuples(*parts).map(lambda ps: [a for p in ps if p for a in p])
+
+
+def _argv(tensor_dir):
+    files = st.sampled_from(_TENSOR_FILES).map(lambda f: str(tensor_dir / f))
+    commands = {
+        "theta": _options({"path"}, path=_SPIN_LISTS, path2=_SPIN_LISTS),
+        "basis": _options({"valence"}, valence=_VALENCES, split=_INTS),
+        "master": _options({"valence"}, valence=_VALENCES, split=_INTS),
+        "repart": _options({"valence"}, valence=_VALENCES, word=_WORDS,
+                           convention=st.sampled_from(["binor", "swap", "x"])),
+        "nogo": _options({"valence"}, valence=_VALENCES, restarts=_INTS, seed=_INTS),
+        "certify": _options({"file"}, file=files, tolerance=_TOLERANCES),
+        "search": _options({"path"}, path=_SEARCH_PATHS,
+                           restarts=st.sampled_from(["1", "2", "0"]),
+                           seed=_INTS, tolerance=_TOLERANCES),
+        "layout": _options({"path"}, path=_SPIN_LISTS),
+        "walk": st.just([]),
+    }
+    extras = st.sampled_from([[], ["--json"], ["--json", "--no-meta"], ["--no-meta"],
+                              ["--help"], ["--bogus"]])
+    return st.one_of(*(st.tuples(st.just([name]), tail, extras).map(lambda t: sum(t, []))
+                       for name, tail in commands.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_keeps_the_cli_contract(tensor_dir, data):
+    argv = data.draw(_argv(tensor_dir), label="argv")
+    code, out, err = _run_quiet(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert out == "", argv
+    if code != 1:
+        return
+    if "--json" in argv:
+        doc = json.loads(out)
+        assert doc["config"]["command"] == argv[0], argv
+    else:
+        assert lines(out)[-1].startswith(_VERDICT_PREFIXES[argv[0]]), argv

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from su2ipt import bridge, master, repart, tensors
-from su2ipt.errors import CrossesBridge, LabelMismatch
+from su2ipt.errors import CrossesBridge, LabelMismatch, ZeroTensor
 
 
 def F(s):
@@ -142,7 +142,9 @@ def test_word_permutation():
 
 
 def test_numeric_matches_closed_form_with_global_sign():
-    for valence, word in [(4, "P34 P* P34"), (6, "P45 P* P45")]:
+    # the last two words are not palindromes, so they fix the word order
+    for valence, word in [(4, "P34 P* P34"), (6, "P45 P* P45"), (4, "P* P12"),
+                          (6, "P* P56 P23")]:
         closed = repart.compose(repart.parse_word(valence, word))
         perm = repart.word_permutation(valence, word.split())
         num = repart.numeric_repart_matrix(valence, perm)
@@ -160,7 +162,7 @@ def test_numeric_matches_pstar_with_global_sign():
 def test_apply_realizes_the_leg_permutation():
     rng = np.random.default_rng(14)
     for valence, word in [(4, "P34"), (4, "P*"), (6, "P45"), (6, "P*"),
-                          (6, "P45 P* P45")]:
+                          (6, "P45 P* P45"), (4, "P* P12"), (6, "P* P56 P23")]:
         labels = bridge.bridge_basis(valence, valence // 2)
         z = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
         c = bridge.CoefficientVector(dict(zip(labels, z)))
@@ -204,6 +206,12 @@ def test_shift_check_noop_and_fail():
     bad = tensors.random_invariant((1,) * 6, rng)
     chk = repart.unbalanced_shift_check(bad, tensors.Bipartition((1, 2, 3), (4, 5, 6)))
     assert chk.verdict == "fail"
+
+
+def test_shift_check_rejects_the_zero_tensor():
+    zero = tensors.LabeledTensor((1, 1, 1, 1), np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ZeroTensor):
+        repart.unbalanced_shift_check(zero, tensors.Bipartition((1, 2), (3, 4)))
 
 
 def test_algorithm1_valence2_feasible():
